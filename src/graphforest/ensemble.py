@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .model import BaseModel, GnnParams, HyperParams, predict_posterior, train_base_model
+from .model import BaseModel, GnnParams, HyperParams, _posteriors, train_base_model
 from .sampling import SubspaceSpec, sample_subspace
 
 VOTING_RULES = ("hard", "soft", "weighted")
@@ -116,8 +116,7 @@ def train_ensemble(g: Graph, num_models: int, node_fraction: float,
 def ensemble_posteriors(e: EnsembleModel, g: Graph, nodes) -> PosteriorStack:
     """Every base model's posterior for ``nodes``, stacked by model index."""
     node_arr = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    slices = [predict_posterior(m, g, node_arr) for m in e.models]
-    return PosteriorStack(probs=np.stack(slices, axis=0), nodes=node_arr)
+    return PosteriorStack(probs=_posteriors(e.models, g, node_arr), nodes=node_arr)
 
 
 def discriminant(stack: PosteriorStack, weights) -> np.ndarray:

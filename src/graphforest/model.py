@@ -112,7 +112,7 @@ def init_params(hp: HyperParams, input_dim: int, num_classes: int, seed: int) ->
 
 
 class MeanAggregator:
-    """Mean over (possibly subsampled) neighborhoods, with its transpose.
+    """Mean over (possibly subsampled) neighborhoods.
 
     Acts like a row-stochastic matrix P with P[v, u] = 1/|nbr(v)| for
     each kept neighbor u; rows of isolated nodes are zero. ``apply``
@@ -120,9 +120,14 @@ class MeanAggregator:
     gradient propagation through the aggregation. Both products run on
     scipy's CSR kernels, which accumulate sequentially per row and are
     therefore bit-reproducible.
+
+    The 0/1 matrix of a full aggregator is the graph's symmetric, sorted
+    CSR adjacency, so it is its own transpose; only a capped aggregator,
+    whose kept neighbor lists are not symmetric, builds a transposed copy.
     """
 
-    def __init__(self, indptr: np.ndarray, cols: np.ndarray, num_nodes: int):
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, num_nodes: int,
+                 symmetric: bool = False):
         self.indptr = indptr
         self.cols = cols
         deg = np.diff(indptr).astype(np.float64)
@@ -132,11 +137,11 @@ class MeanAggregator:
         ones = np.ones(cols.size)
         self._adj = sparse.csr_matrix((ones, cols, indptr),
                                       shape=(num_nodes, num_nodes))
-        self._adj_t = self._adj.T.tocsr()
+        self._adj_t = self._adj if symmetric else self._adj.T.tocsr()
 
     @classmethod
     def full(cls, g: Graph) -> "MeanAggregator":
-        return cls(g.indptr, g.indices, g.num_nodes)
+        return cls(g.indptr, g.indices, g.num_nodes, symmetric=True)
 
     @classmethod
     def capped(cls, g: Graph, cap: int, rng: np.random.Generator) -> "MeanAggregator":
@@ -180,13 +185,20 @@ def forward(params: GnnParams, g: Graph, neighbor_cap: int = 0,
     return _forward_with(params, g, aggregators)
 
 
-def _forward_with(params: GnnParams, g: Graph, aggregators):
-    """Forward pass with fixed aggregation operators (used by grad checks)."""
+def _forward_with(params: GnnParams, g: Graph, aggregators, first_aggregate=None):
+    """Forward pass with fixed aggregation operators.
+
+    ``first_aggregate``, when given, is aggregators[0].apply(g.features),
+    computed once by a caller that runs many passes over the same inputs.
+    """
     h = g.features
     inputs, aggregates, preacts = [], [], []
     last = params.num_layers - 1
     for l in range(params.num_layers):
-        m_agg = aggregators[l].apply(h)
+        if l == 0 and first_aggregate is not None:
+            m_agg = first_aggregate
+        else:
+            m_agg = aggregators[l].apply(h)
         z = m_agg @ params.agg_weights[l].T + h @ params.self_weights[l].T
         inputs.append(h)
         aggregates.append(m_agg)
@@ -299,11 +311,10 @@ def train_base_model(g: Graph, spec: SubspaceSpec, hp: HyperParams,
     train_rng = np.random.default_rng(derive_seed(stream, 1))
     adam = _Adam(params, hp)
 
-    # the uncapped aggregation operator is static; capped neighborhoods
-    # are resampled every forward pass
-    static_aggs = None
-    if hp.neighbor_cap == 0:
-        static_aggs = [MeanAggregator.full(sub)] * hp.num_layers
+    # the uncapped aggregation operator and P @ X_sub are static; capped
+    # neighborhoods are resampled every forward pass
+    full_aggs = [MeanAggregator.full(sub)] * hp.num_layers
+    first_aggregate = full_aggs[0].apply(sub.features)
 
     for _ in range(hp.epochs):
         if hp.batch_size > 0:
@@ -314,10 +325,10 @@ def train_base_model(g: Graph, spec: SubspaceSpec, hp: HyperParams,
             batches = [labeled]
         epoch_losses = []
         for batch in batches:
-            if static_aggs is None:
+            if hp.neighbor_cap > 0:
                 _, cache = forward(params, sub, hp.neighbor_cap, train_rng)
             else:
-                _, cache = _forward_with(params, sub, static_aggs)
+                _, cache = _forward_with(params, sub, full_aggs, first_aggregate)
             loss, grads = loss_and_grad(params, sub, batch, cache,
                                         weight_decay=hp.weight_decay)
             adam.step(params, grads)
@@ -325,10 +336,41 @@ def train_base_model(g: Graph, spec: SubspaceSpec, hp: HyperParams,
         if loss_history is not None:
             loss_history.append(float(np.mean(epoch_losses)))
 
-    logits, _ = forward(params, sub)
+    logits, _ = _forward_with(params, sub, full_aggs, first_aggregate)
     pred = logits[labeled].argmax(axis=1)
     train_f1 = micro_f1(pred, sub.labels[labeled])
     return BaseModel(params=params, spec=spec, train_f1=train_f1)
+
+
+def _posteriors(models, g: Graph, nodes) -> np.ndarray:
+    """Softmax posteriors of every model in ``models`` for ``nodes`` of
+    ``g``, stacked as (models, nodes, classes).
+
+    One aggregator and one P @ X over all feature columns serve every
+    model: a model's layer-0 aggregate is the column slice (P @ X)[:, fs],
+    which equals P @ X[:, fs] bit for bit because the CSR kernel sums
+    every column independently, in row order.
+    """
+    node_arr = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    if node_arr.size and (node_arr.min() < 0 or node_arr.max() >= g.num_nodes):
+        raise GraphValidationError("prediction node id out of range")
+    agg = MeanAggregator.full(g)
+    ax = agg.apply(g.features)
+    out = []
+    for m in models:
+        fs = m.spec.feature_subset
+        if g.num_features <= int(fs.max()):
+            raise GraphValidationError(
+                f"graph has {g.num_features} feature dims, model's mask needs "
+                f">= {int(fs.max()) + 1}")
+        cols = np.unique(fs)
+        masked = restrict_features(g, cols)
+        if masked.num_features != m.params.input_dim:
+            raise GraphValidationError("feature mask width does not match model input")
+        logits, _ = _forward_with(m.params, masked, [agg] * m.params.num_layers,
+                                  ax[:, cols])
+        out.append(softmax(logits[node_arr]))
+    return np.stack(out)
 
 
 def predict_posterior(model: BaseModel, g: Graph, nodes) -> np.ndarray:
@@ -338,16 +380,4 @@ def predict_posterior(model: BaseModel, g: Graph, nodes) -> np.ndarray:
     the full supplied graph structure, so every model is defined on
     every node even if that node was absent from its training subgraph.
     """
-    fs = model.spec.feature_subset
-    if g.num_features <= int(fs.max()):
-        raise GraphValidationError(
-            f"graph has {g.num_features} feature dims, model's mask needs "
-            f">= {int(fs.max()) + 1}")
-    masked = restrict_features(g, fs)
-    if masked.num_features != model.params.input_dim:
-        raise GraphValidationError("feature mask width does not match model input")
-    node_arr = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if node_arr.size and (node_arr.min() < 0 or node_arr.max() >= g.num_nodes):
-        raise GraphValidationError("prediction node id out of range")
-    logits, _ = forward(model.params, masked)
-    return softmax(logits[node_arr])
+    return _posteriors([model], g, nodes)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 
 def adjacency_dense(g) -> np.ndarray:
@@ -32,6 +33,30 @@ def dense_forward(agg_weights, self_weights, adj: np.ndarray,
         z = p @ h @ wa.T + h @ ws.T
         h = np.maximum(z, 0.0) if l < last else z
     return h
+
+
+def per_model_posteriors(models, g, nodes) -> np.ndarray:
+    """Each model's posteriors computed on its own, stacked by model.
+
+    Every model builds its own 0/1 CSR adjacency, computes P @ X[:, fs]
+    over its own feature columns and runs (P @ H) @ Wa.T + H @ Ws.T per
+    layer, the way inference worked before the aggregate was shared
+    between models.
+    """
+    n = g.num_nodes
+    out = []
+    for m in models:
+        adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                                shape=(n, n))
+        deg = np.diff(g.indptr).astype(np.float64)
+        inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+        h = g.features[:, np.unique(m.spec.feature_subset)]
+        last = m.params.num_layers - 1
+        for l, (wa, ws) in enumerate(zip(m.params.agg_weights, m.params.self_weights)):
+            z = (inv[:, None] * (adj @ h)) @ wa.T + h @ ws.T
+            h = np.maximum(z, 0.0) if l < last else z
+        out.append(dense_softmax(h[np.asarray(nodes, dtype=np.int64)]))
+    return np.stack(out)
 
 
 def dense_softmax(logits: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from graphforest import (DegenerateSubspaceError, HyperParams, SbmConfig,
+from graphforest import (DegenerateSubspaceError, EnsembleModel, GraphValidationError,
+                         HyperParams, SbmConfig,
                          build_graph, decide_hard, decide_soft, decide_weighted,
                          deserialize_ensemble, discriminant, ensemble_decide,
                          ensemble_digest, ensemble_posteriors, generate_sbm,
@@ -11,8 +12,11 @@ from graphforest import (DegenerateSubspaceError, HyperParams, SbmConfig,
                          save_base_model, load_base_model, save_ensemble,
                          serialize_ensemble, train_base_model, train_ensemble)
 from graphforest.ensemble import PosteriorStack
-from graphforest.sampling import sample_subspace
-from oracles import reference_hard_vote, reference_soft_vote, simplex_grid
+from graphforest.model import BaseModel, GnnParams
+from graphforest.sampling import SubspaceSpec, sample_subspace
+from conftest import random_graph
+from oracles import (per_model_posteriors, reference_hard_vote, reference_soft_vote,
+                     simplex_grid)
 
 
 def stack_from(probs):
@@ -21,6 +25,26 @@ def stack_from(probs):
 
 
 HP_FAST = HyperParams(hidden_dim=8, epochs=25)
+
+
+def random_ensemble(rng, g, layer_counts, hidden=5, feature_fraction=0.5):
+    """Untrained ensemble with random weights and random sorted feature masks."""
+    d, s = g.num_features, g.num_classes
+    width = max(1, int(round(feature_fraction * d)))
+    models = []
+    for j, num_layers in enumerate(layer_counts):
+        fs = np.sort(rng.choice(d, size=width, replace=False))
+        dims = [width] + [hidden] * (num_layers - 1) + [s]
+        params = GnnParams([rng.uniform(-0.8, 0.8, size=(o, i)) for i, o in zip(dims, dims[1:])],
+                           [rng.uniform(-0.8, 0.8, size=(o, i)) for i, o in zip(dims, dims[1:])])
+        spec = SubspaceSpec(model_index=j, node_subset=np.arange(g.num_nodes),
+                            feature_subset=fs, node_fraction=1.0,
+                            feature_fraction=feature_fraction, seed=j)
+        models.append(BaseModel(params=params, spec=spec, train_f1=1.0))
+    k = len(models)
+    return EnsembleModel(models=tuple(models), num_models=k, node_fraction=1.0,
+                         feature_fraction=feature_fraction, master_seed=0,
+                         voting="soft", weights=np.full(k, 1.0 / k))
 
 
 class TestTrainEnsemble:
@@ -66,6 +90,36 @@ class TestPosteriorStack:
         e = train_ensemble(sbm_small, 3, 0.7, 0.5, HP_FAST, master_seed=3)
         stack = ensemble_posteriors(e, sbm_small, sbm_small.test_nodes)
         assert np.max(np.abs(stack.probs.sum(axis=2) - 1.0)) <= 1e-9
+
+    def test_matches_per_model_oracle_trained(self, sbm_small):
+        # one shared aggregator and one shared P @ X change no bit
+        e = train_ensemble(sbm_small, 4, 0.7, 0.5, HP_FAST, master_seed=6)
+        nodes = np.arange(sbm_small.num_nodes)
+        stack = ensemble_posteriors(e, sbm_small, nodes)
+        assert np.array_equal(stack.probs, per_model_posteriors(e.models, sbm_small, nodes))
+
+    def test_matches_per_model_oracle_random(self):
+        # sparse random graphs (isolated nodes included), mixed depths,
+        # repeated and unsorted query nodes
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            n = int(rng.integers(5, 40))
+            g = random_graph(rng, n, d=9, edge_prob=float(rng.uniform(0.02, 0.4)))
+            e = random_ensemble(rng, g, [1, 2, 3, 2])
+            nodes = rng.integers(0, n, size=2 * n)
+            stack = ensemble_posteriors(e, g, nodes)
+            assert np.array_equal(stack.probs, per_model_posteriors(e.models, g, nodes))
+
+    def test_invalid_inputs_raise(self):
+        rng = np.random.default_rng(71)
+        g = random_graph(rng, 12, d=9)
+        e = random_ensemble(rng, g, [2, 2])
+        narrow = build_graph(g.edge_pairs(), g.features[:, :3])
+        with pytest.raises(GraphValidationError):
+            ensemble_posteriors(e, narrow, [0])
+        for nodes in ([-1], [12], [0, 12]):
+            with pytest.raises(GraphValidationError):
+                ensemble_posteriors(e, g, nodes)
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from graphforest import (GraphValidationError, HyperParams, build_graph,
                          forward, init_params, loss_and_grad, predict_posterior,
@@ -55,6 +56,36 @@ class TestInitParams:
             p = init_params(hp, 1, 1, seed=seed)
             assert abs(p.agg_weights[0][0, 0]) <= np.sqrt(3.0)
             assert abs(p.self_weights[0][0, 0]) <= np.sqrt(3.0)
+
+
+class TestMeanAggregator:
+    def test_full_transpose_is_explicit_transpose(self):
+        # the full aggregator serves as its own transpose: the adjacency is
+        # symmetric with sorted rows, so the product equals the one through
+        # an explicitly transposed CSR matrix bit for bit
+        rng = np.random.default_rng(60)
+        for _ in range(25):
+            n = int(rng.integers(2, 40))
+            g = random_graph(rng, n, d=3, edge_prob=float(rng.uniform(0.02, 0.6)))
+            x = rng.normal(size=(n, int(rng.integers(1, 6))))
+            adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                                    shape=(n, n))
+            deg = np.diff(g.indptr).astype(np.float64)
+            inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+            want = adj.T.tocsr() @ (x * inv[:, None])
+            assert np.array_equal(MeanAggregator.full(g).apply_transpose(x), want)
+
+    def test_capped_transpose_matches_dense(self):
+        rng = np.random.default_rng(61)
+        g = random_graph(rng, 15, d=2, edge_prob=0.5)
+        agg = MeanAggregator.capped(g, 2, np.random.default_rng(3))
+        p = np.zeros((15, 15))
+        for v in range(15):
+            kept = agg.cols[agg.indptr[v]:agg.indptr[v + 1]]
+            p[v, kept] = 1.0 / kept.size if kept.size else 0.0
+        x = rng.normal(size=(15, 4))
+        assert np.max(np.abs(agg.apply(x) - p @ x)) <= 1e-12
+        assert np.max(np.abs(agg.apply_transpose(x) - p.T @ x)) <= 1e-12
 
 
 class TestForward:
@@ -302,3 +333,20 @@ class TestPredictPosterior:
         tiny = build_graph([(0, 1)], np.zeros((2, 2)))
         with pytest.raises(GraphValidationError):
             predict_posterior(model, tiny, [0])
+
+    def test_mask_narrower_than_model_input(self, sbm_small):
+        spec = SubspaceSpec(model_index=0, node_subset=np.arange(sbm_small.num_nodes),
+                            feature_subset=np.array([0, 1]), node_fraction=1.0,
+                            feature_fraction=0.2, seed=0)
+        model = BaseModel(params=zero_params([3, sbm_small.num_classes]), spec=spec,
+                          train_f1=0.0)
+        with pytest.raises(GraphValidationError):
+            predict_posterior(model, sbm_small, [0])
+
+    @pytest.mark.parametrize("nodes", [[-1], [0, 60], [60]])
+    def test_node_id_out_of_range(self, sbm_small, nodes):
+        spec = full_spec(sbm_small)
+        dims = [sbm_small.num_features, sbm_small.num_classes]
+        model = BaseModel(params=zero_params(dims), spec=spec, train_f1=0.0)
+        with pytest.raises(GraphValidationError):
+            predict_posterior(model, sbm_small, nodes)
