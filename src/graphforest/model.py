@@ -6,6 +6,11 @@ applies ReLU; the output layer skips the ReLU and its width is the class
 count. A node with no neighbors aggregates the zero vector, so isolated
 nodes are still classified from their own features.
 
+The output layer takes the mean after its transform, P @ (H @ Wa.T), so
+its neighbor aggregation (forward and backward) runs at class width
+rather than at hidden width. Inference shares one aggregator and one
+P @ X over all feature columns between the models of an ensemble pass.
+
 Everything runs in float64 with exact analytic gradients, tight enough
 to verify against central finite differences. Training is full-batch (or
 minibatch) Adam on softmax cross-entropy with L2 weight decay.
@@ -188,18 +193,26 @@ def forward(params: GnnParams, g: Graph, neighbor_cap: int = 0,
 def _forward_with(params: GnnParams, g: Graph, aggregators, first_aggregate=None):
     """Forward pass with fixed aggregation operators.
 
-    ``first_aggregate``, when given, is aggregators[0].apply(g.features),
-    computed once by a caller that runs many passes over the same inputs.
+    Hidden layers aggregate first, (P @ H) @ Wa.T; the output layer
+    transforms first, P @ (H @ Wa.T), so its aggregation runs at class
+    width. ``first_aggregate``, when given, is aggregators[0].apply(g.features),
+    computed once by a caller that runs many passes over the same inputs;
+    it is used when layer 0 is a hidden layer.
     """
     h = g.features
     inputs, aggregates, preacts = [], [], []
     last = params.num_layers - 1
     for l in range(params.num_layers):
-        if l == 0 and first_aggregate is not None:
-            m_agg = first_aggregate
+        wa, ws = params.agg_weights[l], params.self_weights[l]
+        if l == last:
+            m_agg = None
+            z = aggregators[l].apply(h @ wa.T) + h @ ws.T
         else:
-            m_agg = aggregators[l].apply(h)
-        z = m_agg @ params.agg_weights[l].T + h @ params.self_weights[l].T
+            if l == 0 and first_aggregate is not None:
+                m_agg = first_aggregate
+            else:
+                m_agg = aggregators[l].apply(h)
+            z = m_agg @ wa.T + h @ ws.T
         inputs.append(h)
         aggregates.append(m_agg)
         preacts.append(z)
@@ -252,15 +265,24 @@ def loss_and_grad(params: GnnParams, g: Graph, labeled_nodes, cache,
     grads_agg: list[np.ndarray | None] = [None] * num_layers
     grads_self: list[np.ndarray | None] = [None] * num_layers
     aggregators = cache["aggregators"]
-    for l in range(num_layers - 1, -1, -1):
-        grads_agg[l] = grad_z.T @ cache["aggregates"][l]
-        grads_self[l] = grad_z.T @ cache["inputs"][l]
+    last = num_layers - 1
+    for l in range(last, -1, -1):
+        h, wa, ws = cache["inputs"][l], params.agg_weights[l], params.self_weights[l]
+        if l == last:
+            # z = P @ (H @ Wa.T) + ...: one P.T product at class width serves
+            # both grad Wa = (P.T @ grad_z).T @ H and the gradient into H
+            pt_grad = aggregators[l].apply_transpose(grad_z)
+            grads_agg[l] = pt_grad.T @ h
+        else:
+            grads_agg[l] = grad_z.T @ cache["aggregates"][l]
+        grads_self[l] = grad_z.T @ h
         if weight_decay:
-            grads_agg[l] += weight_decay * params.agg_weights[l]
-            grads_self[l] += weight_decay * params.self_weights[l]
+            grads_agg[l] += weight_decay * wa
+            grads_self[l] += weight_decay * ws
         if l > 0:
-            grad_h = (aggregators[l].apply_transpose(grad_z @ params.agg_weights[l])
-                      + grad_z @ params.self_weights[l])
+            via_agg = (pt_grad @ wa if l == last
+                       else aggregators[l].apply_transpose(grad_z @ wa))
+            grad_h = via_agg + grad_z @ ws
             grad_z = grad_h * (cache["preacts"][l - 1] > 0.0)
     return loss, GnnParams(grads_agg, grads_self)
 

@@ -38,10 +38,10 @@ def dense_forward(agg_weights, self_weights, adj: np.ndarray,
 def per_model_posteriors(models, g, nodes) -> np.ndarray:
     """Each model's posteriors computed on its own, stacked by model.
 
-    Every model builds its own 0/1 CSR adjacency, computes P @ X[:, fs]
-    over its own feature columns and runs (P @ H) @ Wa.T + H @ Ws.T per
-    layer, the way inference worked before the aggregate was shared
-    between models.
+    Every model builds its own 0/1 CSR adjacency and computes P @ X[:, fs]
+    over its own feature columns, the way inference worked before the
+    aggregate was shared between models. Hidden layers compute
+    (P @ H) @ Wa.T + H @ Ws.T, the output layer P @ (H @ Wa.T) + H @ Ws.T.
     """
     n = g.num_nodes
     out = []
@@ -53,8 +53,10 @@ def per_model_posteriors(models, g, nodes) -> np.ndarray:
         h = g.features[:, np.unique(m.spec.feature_subset)]
         last = m.params.num_layers - 1
         for l, (wa, ws) in enumerate(zip(m.params.agg_weights, m.params.self_weights)):
-            z = (inv[:, None] * (adj @ h)) @ wa.T + h @ ws.T
-            h = np.maximum(z, 0.0) if l < last else z
+            if l < last:
+                h = np.maximum((inv[:, None] * (adj @ h)) @ wa.T + h @ ws.T, 0.0)
+            else:
+                h = inv[:, None] * (adj @ (h @ wa.T)) + h @ ws.T
         out.append(dense_softmax(h[np.asarray(nodes, dtype=np.int64)]))
     return np.stack(out)
 

@@ -15,8 +15,8 @@ from graphforest.ensemble import PosteriorStack
 from graphforest.model import BaseModel, GnnParams
 from graphforest.sampling import SubspaceSpec, sample_subspace
 from conftest import random_graph
-from oracles import (per_model_posteriors, reference_hard_vote, reference_soft_vote,
-                     simplex_grid)
+from oracles import (adjacency_dense, dense_forward, dense_softmax, per_model_posteriors,
+                     reference_hard_vote, reference_soft_vote, simplex_grid)
 
 
 def stack_from(probs):
@@ -109,6 +109,31 @@ class TestPosteriorStack:
             nodes = rng.integers(0, n, size=2 * n)
             stack = ensemble_posteriors(e, g, nodes)
             assert np.array_equal(stack.probs, per_model_posteriors(e.models, g, nodes))
+
+    def test_equals_stacked_predict_posterior(self):
+        rng = np.random.default_rng(72)
+        for _ in range(5):
+            n = int(rng.integers(5, 30))
+            g = random_graph(rng, n, d=8, edge_prob=0.2)
+            e = random_ensemble(rng, g, [1, 3, 2])
+            nodes = rng.integers(0, n, size=n)
+            want = np.stack([predict_posterior(m, g, nodes) for m in e.models])
+            assert np.array_equal(ensemble_posteriors(e, g, nodes).probs, want)
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            n = int(rng.integers(2, 15))
+            g = random_graph(rng, n, d=6)
+            e = random_ensemble(rng, g, [1, 2, 3])
+            nodes = np.arange(n)
+            probs = ensemble_posteriors(e, g, nodes).probs
+            adj = adjacency_dense(g)
+            for j, m in enumerate(e.models):
+                fs = m.spec.feature_subset
+                want = dense_softmax(dense_forward(m.params.agg_weights, m.params.self_weights,
+                                                   adj, g.features[:, fs]))
+                assert np.max(np.abs(probs[j] - want)) <= 1e-12
 
     def test_invalid_inputs_raise(self):
         rng = np.random.default_rng(71)
