@@ -91,17 +91,18 @@ def random_flip_attack(g: Graph, budget: AttackBudget, seed: int) -> Graph:
     between deleting a uniform existing edge and adding a uniform non-edge."""
     rng = np.random.default_rng(seed)
     edges = _edge_set(g)
+    # the clean edges not yet deleted, sorted: an added pair is never
+    # deleted again, so only deletions change this list
+    deletable = sorted(edges)
     used: set[tuple[int, int]] = set()
     out = g
     for _ in range(budget.resolved_edges):
-        deletable = sorted(edges - used)
-        pair = None
         if rng.random() < 0.5 and deletable:
-            pair = deletable[int(rng.integers(len(deletable)))]
+            pair = deletable.pop(int(rng.integers(len(deletable))))
         else:
             pair = _random_nonedge(rng, g.num_nodes, edges, used)
             if pair is None and deletable:  # graph nearly complete
-                pair = deletable[int(rng.integers(len(deletable)))]
+                pair = deletable.pop(int(rng.integers(len(deletable))))
         if pair is None:
             raise RuntimeError("no unspent flip available")
         out = _flip_edge(out, *pair)
@@ -141,7 +142,6 @@ def greedy_confidence_attack(g: Graph, victim: Callable[[Graph], np.ndarray],
     if candidate_pool_size < 1:
         raise ValueError("candidate pool must hold at least one flip")
     rng = np.random.default_rng(seed)
-    edges = _edge_set(g)
     used: set[tuple[int, int]] = set()
     out = g
     rows = np.arange(target_arr.size)
@@ -173,10 +173,6 @@ def greedy_confidence_attack(g: Graph, victim: Callable[[Graph], np.ndarray],
                 best_idx, best_score = idx, score
         pair = candidates[best_idx]
         out = _flip_edge(out, *pair)
-        if pair in edges:
-            edges.remove(pair)
-        else:
-            edges.add(pair)
         used.add(pair)
     return out
 

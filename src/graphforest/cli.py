@@ -10,6 +10,7 @@ never leaks into results, so reruns produce identical digests.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -19,10 +20,9 @@ import numpy as np
 from .attacks import budget_for, greedy_confidence_attack, random_flip_attack, robustness_eval
 from .datasets import SbmConfig, generate_sbm, load_graph_dir, load_report, save_report
 from .ensemble import (EnsembleModel, decide_hard, decide_soft, ensemble_decide,
-                       ensemble_digest, ensemble_posteriors, save_ensemble,
-                       train_ensemble)
+                       ensemble_posteriors, serialize_ensemble, train_ensemble)
 from .errors import GraphForestError
-from .graph import Graph, edge_preservation_ratio, induced_subgraph
+from .graph import Graph
 from .metrics import micro_f1, overfit_gap
 from .model import HyperParams, predict_posterior
 from .sampling import derive_seed
@@ -219,23 +219,37 @@ def _swap_train_test(g: Graph) -> Graph:
     return replace(g, train_nodes=g.test_nodes, test_nodes=g.train_nodes)
 
 
+def _edge_keep_ratio(g: Graph, rows: np.ndarray, nodes: np.ndarray) -> float:
+    """Share of g's edges with both ends in ``nodes`` (the edge count of
+    their induced subgraph, counted on a node mask). ``rows`` is the CSR
+    row id of every entry of g.indices. 1.0 for an edgeless graph."""
+    if g.num_edges == 0:
+        return 1.0
+    inside = np.zeros(g.num_nodes, dtype=bool)
+    inside[nodes] = True
+    kept = np.count_nonzero(inside[rows] & inside[g.indices]) // 2
+    return kept / g.num_edges
+
+
 def cmd_train(cfg: ExperimentConfig) -> int:
     g = resolve_dataset(cfg)
     ensemble = _train(cfg, g)
     os.makedirs(cfg.output_dir, exist_ok=True)
     model_path = os.path.join(cfg.output_dir, "ensemble.gfe")
-    save_ensemble(ensemble, model_path)
+    blob = serialize_ensemble(ensemble)
+    with open(model_path, "wb") as fh:
+        fh.write(blob)
 
     lines = ["graphforest train"]
     lines += [f"{key}={value}" for key, value in cfg.echo().items()]
+    rows = np.repeat(np.arange(g.num_nodes), g.degrees)
     for m in ensemble.models:
-        sub, _ = induced_subgraph(g, m.spec.node_subset)
-        keep = edge_preservation_ratio(g, sub)
+        keep = _edge_keep_ratio(g, rows, m.spec.node_subset)
         lines.append(
             f"model {m.spec.model_index}: seed={m.spec.seed} "
             f"nodes={m.spec.node_subset.size} dims={m.spec.feature_subset.size} "
             f"train_f1={m.train_f1:.6f} edge_keep_ratio={keep:.6f}")
-    lines.append(f"ensemble_digest=sha256:{ensemble_digest(ensemble)}")
+    lines.append(f"ensemble_digest=sha256:{hashlib.sha256(blob).hexdigest()}")
     with open(os.path.join(cfg.output_dir, "train_log.txt"), "w",
               encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

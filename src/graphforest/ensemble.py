@@ -144,14 +144,13 @@ def decide_hard(stack: PosteriorStack) -> np.ndarray:
     votes = stack.probs.argmax(axis=2)  # (models, nodes)
     num_nodes = stack.nodes.size
     num_classes = stack.probs.shape[2]
-    out = np.empty(num_nodes, dtype=np.int64)
-    for i in range(num_nodes):
-        counts = np.bincount(votes[:, i], minlength=num_classes)
-        top = counts.max()
-        tied = np.flatnonzero(counts == top)
-        if tied.size == 1:
-            out[i] = tied[0]
-            continue
+    flat = votes + num_classes * np.arange(num_nodes)
+    counts = np.bincount(flat.ravel(), minlength=num_nodes * num_classes)
+    counts = counts.reshape(num_nodes, num_classes)
+    out = counts.argmax(axis=1)
+    top = counts[np.arange(num_nodes), out]
+    for i in np.flatnonzero((counts == top[:, None]).sum(axis=1) > 1):
+        tied = np.flatnonzero(counts[i] == top[i])
         best_class, best_conf = -1, -1.0
         for c in tied:
             voters = np.flatnonzero(votes[:, i] == c)

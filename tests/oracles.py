@@ -183,3 +183,46 @@ def brute_force_induced_edges(edge_pairs, node_set):
         if u in nodes and v in nodes:
             keep.add((min(u, v), max(u, v)))
     return keep
+
+
+def reference_random_flip_csr(g, num_flips: int, seed: int):
+    """The random edge-flip loop that re-sorts the unspent clean edges on
+    every flip, replayed on an edge set; returns the attacked (indptr,
+    indices) in canonical sorted CSR form."""
+    n = g.num_nodes
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    edges = {(int(u), int(v)) for u, v in zip(rows, g.indices) if u < v}
+    rng = np.random.default_rng(seed)
+    used = set()
+
+    def random_nonedge():
+        for _ in range(100_000):
+            u = int(rng.integers(n))
+            v = int(rng.integers(n))
+            if u == v:
+                continue
+            pair = (u, v) if u < v else (v, u)
+            if pair not in edges and pair not in used:
+                return pair
+        return None
+
+    for _ in range(num_flips):
+        deletable = sorted(edges - used)
+        if rng.random() < 0.5 and deletable:
+            pair = deletable[int(rng.integers(len(deletable)))]
+        else:
+            pair = random_nonedge()
+            if pair is None and deletable:
+                pair = deletable[int(rng.integers(len(deletable)))]
+        assert pair is not None
+        if pair in edges:
+            edges.remove(pair)
+        else:
+            edges.add(pair)
+        used.add(pair)
+
+    both = sorted(edges | {(v, u) for u, v in edges})
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for u, _ in both:
+        indptr[u + 1] += 1
+    return np.cumsum(indptr), np.array([v for _, v in both], dtype=np.int64)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from graphforest import (AttackBudget, HyperParams, budget_for, build_graph,
-                         check_invariants, generate_sbm, greedy_confidence_attack,
-                         predict_posterior, random_flip_attack, robustness_eval,
-                         train_ensemble, SbmConfig)
+                         check_invariants, derive_seed, generate_sbm,
+                         greedy_confidence_attack, predict_posterior,
+                         random_flip_attack, robustness_eval, train_ensemble,
+                         SbmConfig)
 from conftest import random_graph
+from oracles import reference_random_flip_csr
+from test_acceptance import FIXTURE, SEEDS
 
 
 def edge_set(g):
@@ -24,6 +27,11 @@ def attack_fixture():
     e = train_ensemble(g, 1, 1.0, 1.0, HyperParams(hidden_dim=16, epochs=80),
                        master_seed=1)
     return g, e.models[0]
+
+
+@pytest.fixture(scope="module")
+def acceptance_graph():
+    return generate_sbm(FIXTURE)
 
 
 class TestBudget:
@@ -72,6 +80,27 @@ class TestRandomFlip:
         assert np.array_equal(out.features, g.features)
         assert np.array_equal(out.labels, g.labels)
         assert np.array_equal(out.train_nodes, g.train_nodes)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_resorting_loop_on_acceptance_seeds(self, acceptance_graph, seed):
+        # the acceptance fixture, budget and seeds of criterion 5
+        g = acceptance_graph
+        budget = budget_for(g, 0.10)
+        out = random_flip_attack(g, budget, seed=derive_seed(seed, 9001))
+        indptr, indices = reference_random_flip_csr(g, budget.resolved_edges,
+                                                    derive_seed(seed, 9001))
+        assert np.array_equal(out.indptr, indptr)
+        assert np.array_equal(out.indices, indices)
+
+    def test_matches_resorting_loop_dense_graph(self):
+        # on a complete graph every addition attempt fails and falls back
+        # to a deletion
+        g = random_graph(np.random.default_rng(6), 5, edge_prob=1.0)
+        budget = AttackBudget(1.0, 4)
+        out = random_flip_attack(g, budget, seed=4)
+        indptr, indices = reference_random_flip_csr(g, budget.resolved_edges, 4)
+        assert np.array_equal(out.indptr, indptr)
+        assert np.array_equal(out.indices, indices)
 
     def test_edgeless_graph_only_adds(self):
         g = build_graph([], np.zeros((6, 1)))

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from graphforest import load_ensemble, load_report, overfit_gap, save_report
-from graphforest.cli import main
+from graphforest import (edge_preservation_ratio, ensemble_digest, induced_subgraph,
+                         load_ensemble, load_report, overfit_gap, save_ensemble,
+                         save_report)
+from graphforest.cli import ExperimentConfig, _train, cmd_train, main, resolve_dataset
 
 SBM_TINY = ("sbm:num_nodes=60,num_classes=2,p_in=0.3,p_out=0.03,feature_dim=10,"
             "signal=1.0,noise_sd=0.8,train_fraction=0.3,seed=11")
@@ -33,7 +35,49 @@ def write_config(tmp_path, **extra):
     return str(path)
 
 
+def pre_change_train_outputs(cfg, out):
+    """cmd_train as it was written before it serialized once: save the
+    ensemble, digest a second serialization, and log each model's edge
+    keep ratio from a second induced subgraph."""
+    g = resolve_dataset(cfg)
+    ensemble = _train(cfg, g)
+    os.makedirs(out)
+    save_ensemble(ensemble, os.path.join(out, "ensemble.gfe"))
+    lines = ["graphforest train"]
+    lines += [f"{key}={value}" for key, value in cfg.echo().items()]
+    for m in ensemble.models:
+        sub, _ = induced_subgraph(g, m.spec.node_subset)
+        keep = edge_preservation_ratio(g, sub)
+        lines.append(
+            f"model {m.spec.model_index}: seed={m.spec.seed} "
+            f"nodes={m.spec.node_subset.size} dims={m.spec.feature_subset.size} "
+            f"train_f1={m.train_f1:.6f} edge_keep_ratio={keep:.6f}")
+    lines.append(f"ensemble_digest=sha256:{ensemble_digest(ensemble)}")
+    with open(os.path.join(out, "train_log.txt"), "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 class TestTrain:
+    @pytest.mark.parametrize("node_fraction", [0.3, 0.7, 1.0])
+    def test_outputs_match_pre_change_procedure(self, tmp_path, node_fraction):
+        cfg = ExperimentConfig(dataset=SBM_TINY, num_models=3, node_fraction=node_fraction,
+                               feature_fraction=0.5, hidden_dim=8, epochs=15,
+                               master_seed=4, output_dir=str(tmp_path / "new"))
+        assert cmd_train(cfg) == 0
+        pre_change_train_outputs(cfg, str(tmp_path / "old"))
+        assert digest_dir(tmp_path / "new") == digest_dir(tmp_path / "old")
+
+    def test_edgeless_graph_keep_ratio_is_one(self, tmp_path):
+        cfg = ExperimentConfig(dataset=SBM_TINY.replace("p_in=0.3,p_out=0.03",
+                                                        "p_in=0.0,p_out=0.0"),
+                               num_models=2, node_fraction=0.7, feature_fraction=0.5,
+                               hidden_dim=4, epochs=3, master_seed=4,
+                               output_dir=str(tmp_path / "new"))
+        assert cmd_train(cfg) == 0
+        pre_change_train_outputs(cfg, str(tmp_path / "old"))
+        assert digest_dir(tmp_path / "new") == digest_dir(tmp_path / "old")
+        assert "edge_keep_ratio=1.000000" in (tmp_path / "new" / "train_log.txt").read_text()
+
     def test_baseline_single_model(self, tmp_path):
         cfg = write_config(tmp_path, num_models=1, node_fraction=1.0,
                            feature_fraction=1.0)

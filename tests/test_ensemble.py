@@ -249,6 +249,26 @@ class TestDecisionRules:
             assert decide_soft(stack).tolist() == reference_soft_vote(probs)
             assert decide_hard(stack).tolist() == reference_hard_vote(probs)
 
+    def test_hard_many_ties_match_reference(self):
+        # 6 voters over 3 classes: 2-way and 3-way vote ties at most nodes,
+        # voter confidences from a small set so tie-break means also tie
+        rng = np.random.default_rng(5)
+        patterns = [[0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 2, 2], [2, 2, 2, 0, 1, 1],
+                    [1, 1, 1, 2, 2, 2], [0, 0, 1, 1, 1, 2]]
+        k, n, s = 6, 500, 3
+        probs = np.empty((k, n, s))
+        for i in range(n):
+            pattern = patterns[int(rng.integers(len(patterns)))]
+            for j, c in enumerate(rng.permutation(pattern)):
+                q = float(rng.choice([0.5, 0.6, 0.75, 0.9]))
+                probs[j, i] = (1.0 - q) / 2
+                probs[j, i, c] = q
+        counts = np.stack([np.bincount(col, minlength=s)
+                           for col in probs.argmax(axis=2).T])
+        tie_width = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1)
+        assert np.sum(tie_width == 2) >= 100 and np.sum(tie_width == 3) >= 50
+        assert decide_hard(stack_from(probs)).tolist() == reference_hard_vote(probs.tolist())
+
     def test_multi_node_grid_matches_reference(self):
         rng = np.random.default_rng(4)
         grid = np.array(simplex_grid(3, steps=4))
