@@ -219,14 +219,15 @@ def _swap_train_test(g: Graph) -> Graph:
     return replace(g, train_nodes=g.test_nodes, test_nodes=g.train_nodes)
 
 
-def _edge_keep_ratio(g: Graph, rows: np.ndarray, nodes: np.ndarray) -> float:
-    """Share of g's edges with both ends in ``nodes`` (the edge count of
-    their induced subgraph, counted on a node mask). ``rows`` is the CSR
-    row id of every entry of g.indices. 1.0 for an edgeless graph."""
+def _edge_keep_ratio(g: Graph, nodes: np.ndarray) -> float:
+    """Share of g's edges with both ends in ``nodes``: the edge count of
+    their induced subgraph, counted on a node mask. 1.0 for an edgeless
+    graph."""
     if g.num_edges == 0:
         return 1.0
     inside = np.zeros(g.num_nodes, dtype=bool)
     inside[nodes] = True
+    rows = np.repeat(np.arange(g.num_nodes), g.degrees)
     kept = np.count_nonzero(inside[rows] & inside[g.indices]) // 2
     return kept / g.num_edges
 
@@ -242,9 +243,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
     lines = ["graphforest train"]
     lines += [f"{key}={value}" for key, value in cfg.echo().items()]
-    rows = np.repeat(np.arange(g.num_nodes), g.degrees)
     for m in ensemble.models:
-        keep = _edge_keep_ratio(g, rows, m.spec.node_subset)
+        keep = _edge_keep_ratio(g, m.spec.node_subset)
         lines.append(
             f"model {m.spec.model_index}: seed={m.spec.seed} "
             f"nodes={m.spec.node_subset.size} dims={m.spec.feature_subset.size} "

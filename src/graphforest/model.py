@@ -208,10 +208,8 @@ def _forward_with(params: GnnParams, g: Graph, aggregators, first_aggregate=None
             m_agg = None
             z = aggregators[l].apply(h @ wa.T) + h @ ws.T
         else:
-            if l == 0 and first_aggregate is not None:
-                m_agg = first_aggregate
-            else:
-                m_agg = aggregators[l].apply(h)
+            m_agg = (first_aggregate if l == 0 and first_aggregate is not None
+                     else aggregators[l].apply(h))
             z = m_agg @ wa.T + h @ ws.T
         inputs.append(h)
         aggregates.append(m_agg)
