@@ -114,13 +114,18 @@ def random_flip_attack(g: Graph, budget: AttackBudget, seed: int) -> Graph:
     return out
 
 
+def _neighbors_of(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Concatenated CSR neighbor lists of ``nodes`` (repeats kept)."""
+    starts = g.indptr[nodes]
+    counts = g.indptr[nodes + 1] - starts
+    row_offset = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return g.indices[row_offset + np.arange(row_offset.size)]
+
+
 def _two_hop_pool(g: Graph, targets: np.ndarray) -> np.ndarray:
-    pool = set(int(t) for t in targets)
-    for t in targets:
-        for u in g.neighbors(int(t)):
-            pool.add(int(u))
-            pool.update(int(w) for w in g.neighbors(int(u)))
-    return np.array(sorted(pool), dtype=np.int64)
+    """Sorted ids of the targets and of every node within two hops of one."""
+    hop1 = np.unique(_neighbors_of(g, targets))
+    return np.unique(np.concatenate([targets, hop1, _neighbors_of(g, hop1)]))
 
 
 def greedy_confidence_attack(g: Graph, victim: Callable[[Graph], np.ndarray],

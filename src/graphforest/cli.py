@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise UsageError(f"unknown voting rule {self.voting!r}")
         if self.parallelism < 1:
             raise UsageError("parallelism must be >= 1")
+        if self.attack_targets < 1:
+            raise UsageError("attack_targets must be >= 1")
+        if self.greedy_pool < 1:
+            raise UsageError("greedy_pool must be >= 1")
 
     def hyperparams(self) -> HyperParams:
         try:

@@ -9,7 +9,12 @@ nodes are still classified from their own features.
 The output layer takes the mean after its transform, P @ (H @ Wa.T), so
 its neighbor aggregation (forward and backward) runs at class width
 rather than at hidden width. Inference shares one aggregator and one
-P @ X over all feature columns between the models of an ensemble pass.
+P @ X over all feature columns between the models of an ensemble pass,
+and runs the models' forwards on one thread per usable core with
+numpy's OpenBLAS held at one thread. Each forward is computed whole by
+one thread, so inference bytes depend neither on the core count nor on
+the BLAS thread count. Training still runs under the caller's BLAS
+setting, and its bytes can depend on the BLAS thread count.
 
 Everything runs in float64 with exact analytic gradients, tight enough
 to verify against central finite differences. Training is full-batch (or
@@ -18,13 +23,20 @@ minibatch) Adam on softmax cross-entropy with L2 weight decay.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateSubspaceError, GraphValidationError
-from .graph import Graph, induced_subgraph, restrict_features
+from .graph import Graph, _check_ids_in_range, induced_subgraph, restrict_features
 from .metrics import micro_f1
 from .sampling import SubspaceSpec, derive_seed, mix64, sample_neighbors
 
@@ -187,19 +199,20 @@ def forward(params: GnnParams, g: Graph, neighbor_cap: int = 0,
     else:
         shared = MeanAggregator.full(g)
         aggregators = [shared] * params.num_layers
-    return _forward_with(params, g, aggregators)
+    return _forward_with(params, g.features, aggregators)
 
 
-def _forward_with(params: GnnParams, g: Graph, aggregators, first_aggregate=None):
-    """Forward pass with fixed aggregation operators.
+def _forward_with(params: GnnParams, x: np.ndarray, aggregators, first_aggregate=None):
+    """Forward pass over the feature matrix ``x`` with fixed aggregation
+    operators.
 
     Hidden layers aggregate first, (P @ H) @ Wa.T; the output layer
     transforms first, P @ (H @ Wa.T), so its aggregation runs at class
-    width. ``first_aggregate``, when given, is aggregators[0].apply(g.features),
+    width. ``first_aggregate``, when given, is aggregators[0].apply(x),
     computed once by a caller that runs many passes over the same inputs;
     it is used when layer 0 is a hidden layer.
     """
-    h = g.features
+    h = x
     inputs, aggregates, preacts = [], [], []
     last = params.num_layers - 1
     for l in range(params.num_layers):
@@ -348,7 +361,7 @@ def train_base_model(g: Graph, spec: SubspaceSpec, hp: HyperParams,
             if hp.neighbor_cap > 0:
                 _, cache = forward(params, sub, hp.neighbor_cap, train_rng)
             else:
-                _, cache = _forward_with(params, sub, full_aggs, first_aggregate)
+                _, cache = _forward_with(params, sub.features, full_aggs, first_aggregate)
             loss, grads = loss_and_grad(params, sub, batch, cache,
                                         weight_decay=hp.weight_decay)
             adam.step(params, grads)
@@ -356,10 +369,59 @@ def train_base_model(g: Graph, spec: SubspaceSpec, hp: HyperParams,
         if loss_history is not None:
             loss_history.append(float(np.mean(epoch_losses)))
 
-    logits, _ = _forward_with(params, sub, full_aggs, first_aggregate)
+    logits, _ = _forward_with(params, sub.features, full_aggs, first_aggregate)
     pred = logits[labeled].argmax(axis=1)
     train_f1 = micro_f1(pred, sub.labels[labeled])
     return BaseModel(params=params, spec=spec, train_f1=train_f1)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None where numpy ships no such library."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("libscipy_openblas*.so*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            get = dll.scipy_openblas_get_num_threads64_
+            set_ = dll.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# the BLAS thread count is process-wide, so one caller at a time may pin it
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+@contextmanager
+def _blas_single_thread():
+    """Hold numpy's OpenBLAS at one thread, restoring the old count on exit;
+    a no-op where the library is absent.
+
+    Scoped, not global: serial training runs faster with BLAS threads.
+    """
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _BLAS_PIN_LOCK:
+        old = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(old)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _posteriors(models, g: Graph, nodes) -> np.ndarray:
@@ -370,13 +432,16 @@ def _posteriors(models, g: Graph, nodes) -> np.ndarray:
     model: a model's layer-0 aggregate is the column slice (P @ X)[:, fs],
     which equals P @ X[:, fs] bit for bit because the CSR kernel sums
     every column independently, in row order.
+
+    The forwards run on one thread per usable core (scipy's SpMM and
+    numpy release the GIL), with BLAS held at one thread so that the
+    threads do not oversubscribe the cores. Workers call only private
+    code; softmax runs on the caller's thread, in model-index order.
     """
     node_arr = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if node_arr.size and (node_arr.min() < 0 or node_arr.max() >= g.num_nodes):
         raise GraphValidationError("prediction node id out of range")
-    agg = MeanAggregator.full(g)
-    ax = agg.apply(g.features)
-    out = []
+    masks = []
     for m in models:
         fs = m.spec.feature_subset
         if g.num_features <= int(fs.max()):
@@ -384,13 +449,25 @@ def _posteriors(models, g: Graph, nodes) -> np.ndarray:
                 f"graph has {g.num_features} feature dims, model's mask needs "
                 f">= {int(fs.max()) + 1}")
         cols = np.unique(fs)
-        masked = restrict_features(g, cols)
-        if masked.num_features != m.params.input_dim:
+        _check_ids_in_range(cols, g.num_features, "feature dim")
+        if cols.size != m.params.input_dim:
             raise GraphValidationError("feature mask width does not match model input")
-        logits, _ = _forward_with(m.params, masked, [agg] * m.params.num_layers,
-                                  ax[:, cols])
-        out.append(softmax(logits[node_arr]))
-    return np.stack(out)
+        masks.append(cols)
+
+    with _blas_single_thread():
+        agg = MeanAggregator.full(g)
+        ax = agg.apply(g.features)
+
+        def logits(m: BaseModel, cols: np.ndarray) -> np.ndarray:
+            z, _ = _forward_with(m.params, g.features[:, cols],
+                                 [agg] * m.params.num_layers, ax[:, cols])
+            return z[node_arr]
+
+        workers = min(len(models), _usable_cores())
+        if workers <= 1:  # a thread per call would only add start-up cost
+            return np.stack([softmax(z) for z in map(logits, models, masks)])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.stack([softmax(z) for z in pool.map(logits, models, masks)])
 
 
 def predict_posterior(model: BaseModel, g: Graph, nodes) -> np.ndarray:

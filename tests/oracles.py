@@ -226,3 +226,14 @@ def reference_random_flip_csr(g, num_flips: int, seed: int):
     for u, _ in both:
         indptr[u + 1] += 1
     return np.cumsum(indptr), np.array([v for _, v in both], dtype=np.int64)
+
+
+def reference_two_hop_pool(g, targets) -> np.ndarray:
+    """The per-node loop that collected the greedy attack's candidate
+    endpoints: the targets and every node within two hops, sorted."""
+    pool = set(int(t) for t in targets)
+    for t in targets:
+        for u in g.neighbors(int(t)):
+            pool.add(int(u))
+            pool.update(int(w) for w in g.neighbors(int(u)))
+    return np.array(sorted(pool), dtype=np.int64)

@@ -7,7 +7,8 @@ from graphforest import (AttackBudget, HyperParams, budget_for, build_graph,
                          random_flip_attack, robustness_eval, train_ensemble,
                          SbmConfig)
 from conftest import random_graph
-from oracles import reference_random_flip_csr
+from graphforest.attacks import _two_hop_pool
+from oracles import reference_random_flip_csr, reference_two_hop_pool
 from test_acceptance import FIXTURE, SEEDS
 
 
@@ -107,6 +108,34 @@ class TestRandomFlip:
         out = random_flip_attack(g, AttackBudget(1.0, 3), seed=1)
         assert out.num_edges == 3
         check_invariants(out)
+
+
+class TestTwoHopPool:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_loop_on_acceptance_seeds(self, acceptance_graph, seed):
+        # criterion 5's targets, on the clean graph and on a randomly
+        # attacked one
+        g = acceptance_graph
+        rng = np.random.default_rng(derive_seed(seed, 9002))
+        targets = np.sort(rng.choice(g.test_nodes, size=30, replace=False))
+        attacked = random_flip_attack(g, budget_for(g, 0.10), seed=derive_seed(seed, 9001))
+        for graph in (g, attacked):
+            got = _two_hop_pool(graph, targets)
+            want = reference_two_hop_pool(graph, targets)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_matches_loop_on_random_graphs(self):
+        # isolated nodes, repeated targets and an empty target list
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            g = random_graph(rng, n, edge_prob=float(rng.uniform(0.0, 0.3)))
+            targets = rng.integers(0, n, size=int(rng.integers(0, 6)))
+            got = _two_hop_pool(g, targets)
+            want = reference_two_hop_pool(g, targets)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 class TestGreedy:

@@ -241,6 +241,20 @@ class TestAttack:
         assert {row["setting"] for row in rows} == {"baseline", "ensemble"}
         assert all(row["eval"] == "targets" for row in rows)
 
+    @pytest.mark.parametrize("key", ["attack_targets", "greedy_pool"])
+    def test_non_positive_greedy_setting_is_usage_error(self, tmp_path, monkeypatch, key):
+        # rejected while the config is read, before any model is trained
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was rejected")
+
+        monkeypatch.setattr("graphforest.cli._train", no_training)
+        cfg = write_config(tmp_path, epochs=8)
+        out = tmp_path / "bad"
+        for value in ("0", "-3"):
+            assert run("attack", "--config", cfg, "--set", f"{key}={value}",
+                       "--out", str(out), "--attack", "greedy", "--budget", "0.02") == 1
+        assert not out.exists()
+
 
 class TestReportVerb:
     def test_csv_to_markdown(self, tmp_path):

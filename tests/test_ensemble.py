@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +14,11 @@ from graphforest import (DegenerateSubspaceError, EnsembleModel, GraphValidation
                          deserialize_ensemble, discriminant, ensemble_decide,
                          ensemble_digest, ensemble_posteriors, generate_sbm,
                          load_ensemble, micro_f1, predict_posterior,
-                         save_base_model, load_base_model, save_ensemble,
+                         save_base_model, load_base_model, save_ensemble, save_graph_dir,
                          serialize_ensemble, train_base_model, train_ensemble)
+from graphforest import model as model_module
 from graphforest.ensemble import PosteriorStack
-from graphforest.model import BaseModel, GnnParams
+from graphforest.model import BaseModel, GnnParams, _posteriors, init_params
 from graphforest.sampling import SubspaceSpec, sample_subspace
 from conftest import random_graph
 from oracles import (adjacency_dense, dense_forward, dense_softmax, per_model_posteriors,
@@ -149,6 +155,144 @@ class TestPosteriorStack:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             stack_from([[[0.9, 0.3]]])
+
+
+def glorot_ensemble(g, k, hidden, feature_fraction=0.5):
+    """Untrained ensemble with Glorot-initialized 3-layer models, so that
+    the posteriors stay away from one-hot saturation."""
+    rng = np.random.default_rng(0)
+    d = g.num_features
+    width = max(1, int(round(feature_fraction * d)))
+    hp = HyperParams(num_layers=3, hidden_dim=hidden)
+    models = []
+    for j in range(k):
+        spec = SubspaceSpec(model_index=j, node_subset=np.arange(g.num_nodes),
+                            feature_subset=np.sort(rng.choice(d, size=width, replace=False)),
+                            node_fraction=1.0, feature_fraction=feature_fraction, seed=j)
+        params = init_params(hp, width, g.num_classes, seed=j)
+        models.append(BaseModel(params=params, spec=spec, train_f1=1.0))
+    return EnsembleModel(models=tuple(models), num_models=k, node_fraction=1.0,
+                         feature_fraction=feature_fraction, master_seed=0,
+                         voting="soft", weights=np.full(k, 1.0 / k))
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS thread-count getter, with the count set to 2 for
+    the test and put back afterwards."""
+    api = model_module._openblas()
+    if api is None:
+        pytest.skip("numpy ships no OpenBLAS with a thread-count API here")
+    get, set_ = api
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+HASH_POSTERIORS = """
+import hashlib, sys
+import numpy as np
+import graphforest as gf
+g = gf.load_graph_dir(sys.argv[1])
+e = gf.load_ensemble(sys.argv[2])
+probs = gf.ensemble_posteriors(e, g, np.arange(g.num_nodes)).probs
+print(hashlib.sha256(probs.tobytes()).hexdigest())
+"""
+
+
+class TestInferenceThreads:
+    """Inference runs the models' forwards on one thread per usable core,
+    with BLAS held at one thread; none of that may change a byte."""
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 25])
+    def test_matches_per_model_oracle(self, monkeypatch, cores, k):
+        monkeypatch.setattr(model_module, "_usable_cores", lambda: cores)
+        rng = np.random.default_rng(80 + k)
+        g = random_graph(rng, 50, d=10, edge_prob=0.1)
+        e = random_ensemble(rng, g, [1 + j % 3 for j in range(k)])
+        nodes = rng.integers(0, g.num_nodes, size=70)
+        probs = ensemble_posteriors(e, g, nodes).probs
+        assert probs.shape == (k, nodes.size, g.num_classes)
+        assert np.array_equal(probs, per_model_posteriors(e.models, g, nodes))
+
+    @pytest.mark.parametrize("mask, message", [
+        (np.array([0, 3, 12, 5]), "graph has 9 feature dims, model's mask needs >= 13"),
+        (np.array([-1, 2, 4, 6]), "feature dim id -1 out of range [0, 9)"),
+        (np.array([1, 2, 4]), "feature mask width does not match model input"),
+    ])
+    @pytest.mark.parametrize("bad", [1, 3])
+    def test_bad_mask_at_later_model_raises(self, monkeypatch, mask, message, bad):
+        monkeypatch.setattr(model_module, "_usable_cores", lambda: 4)
+        rng = np.random.default_rng(81)
+        g = random_graph(rng, 20, d=9)
+        e = random_ensemble(rng, g, [2, 2, 2, 2], feature_fraction=0.45)
+        broken = replace(e.models[bad].spec, feature_subset=mask)
+        models = list(e.models)
+        models[bad] = BaseModel(params=models[bad].params, spec=broken, train_f1=1.0)
+        with pytest.raises(GraphValidationError) as fanned:
+            _posteriors(models, g, [0, 1])
+        with pytest.raises(GraphValidationError) as alone:
+            predict_posterior(models[bad], g, [0, 1])
+        assert str(fanned.value) == str(alone.value) == message
+
+    def test_blas_pinned_inside_and_restored_after(self, monkeypatch, openblas):
+        monkeypatch.setattr(model_module, "_usable_cores", lambda: 2)
+        seen = []
+        real = model_module._forward_with
+
+        def spy(*args, **kwargs):
+            seen.append(openblas())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_forward_with", spy)
+        rng = np.random.default_rng(82)
+        g = random_graph(rng, 30, d=8)
+        for layers in ([2], [2, 3, 1]):
+            e = random_ensemble(rng, g, layers)
+            ensemble_posteriors(e, g, np.arange(g.num_nodes))
+            assert openblas() == 2
+        assert seen == [1] * 4
+
+    def test_blas_restored_after_raise(self, monkeypatch, openblas):
+        monkeypatch.setattr(model_module, "_usable_cores", lambda: 2)
+        real = model_module._forward_with
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("forward failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_forward_with", fail_second)
+        rng = np.random.default_rng(83)
+        g = random_graph(rng, 30, d=8)
+        e = random_ensemble(rng, g, [2, 2, 2])
+        with pytest.raises(RuntimeError, match="forward failed"):
+            ensemble_posteriors(e, g, np.arange(g.num_nodes))
+        assert openblas() == 2
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # one saved ensemble at the width of criterion 4's large model,
+        # scored in fresh processes under 1 and 2 BLAS threads
+        g = generate_sbm(SbmConfig(num_nodes=600, num_classes=3, p_in=0.1, p_out=0.01,
+                                   feature_dim=60, signal=0.6, noise_sd=1.0,
+                                   train_fraction=0.1, seed=3))
+        save_graph_dir(g, tmp_path / "graph")
+        save_ensemble(glorot_ensemble(g, 3, hidden=256), tmp_path / "e.gfe")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", HASH_POSTERIORS,
+                                   str(tmp_path / "graph"), str(tmp_path / "e.gfe")],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-4000:]
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 class TestDiscriminant:

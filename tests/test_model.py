@@ -205,11 +205,11 @@ class TestLossAndGrad:
         aggs = [MeanAggregator.capped(g, 2, np.random.default_rng(77))
                 for _ in range(2)]
         labeled = np.array([0, 1, 4])
-        _, cache = _forward_with(p, g, aggs)
+        _, cache = _forward_with(p, g.features, aggs)
         _, grads = loss_and_grad(p, g, labeled, cache, weight_decay=0.01)
 
         def loss_fn():
-            _, c = _forward_with(p, g, aggs)
+            _, c = _forward_with(p, g.features, aggs)
             return loss_and_grad(p, g, labeled, c, weight_decay=0.01)[0]
 
         fd = finite_difference_grads(loss_fn, p, h=1e-5)
