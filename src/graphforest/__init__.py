@@ -13,17 +13,14 @@ from .attacks import (AttackBudget, budget_for, greedy_confidence_attack,
 from .datasets import (SbmConfig, generate_sbm, load_graph, load_graph_dir,
                        load_report, save_graph, save_graph_dir, save_report)
 from .ensemble import (EnsembleModel, PosteriorStack, decide_hard, decide_soft,
-                       decide_weighted, deserialize_base_model,
-                       deserialize_ensemble, discriminant, ensemble_decide,
-                       ensemble_digest, ensemble_posteriors, load_base_model,
-                       load_ensemble, save_base_model, save_ensemble,
-                       serialize_base_model, serialize_ensemble, train_ensemble)
+                       deserialize_ensemble, ensemble_decide, ensemble_digest,
+                       ensemble_posteriors, load_ensemble, save_ensemble,
+                       serialize_ensemble, train_ensemble)
 from .errors import (DatasetFormatError, DegenerateSubspaceError,
                      GraphForestError, GraphValidationError)
-from .graph import (Graph, NodeMapping, build_graph, check_invariants,
+from .graph import (Graph, build_graph, check_invariants,
                     edge_preservation_ratio, induced_subgraph, restrict_features)
-from .metrics import (ConfusionCounts, CostEstimate, cost_estimate, micro_f1,
-                      overfit_gap)
+from .metrics import CostEstimate, cost_estimate, micro_f1, overfit_gap
 from .model import (BaseModel, GnnParams, HyperParams, MeanAggregator, forward,
                     init_params, loss_and_grad, predict_posterior, softmax,
                     train_base_model)

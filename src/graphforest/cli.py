@@ -13,14 +13,16 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from .attacks import budget_for, greedy_confidence_attack, random_flip_attack, robustness_eval
 from .datasets import SbmConfig, generate_sbm, load_graph_dir, load_report, save_report
-from .ensemble import (EnsembleModel, decide_hard, decide_soft, ensemble_decide,
-                       ensemble_posteriors, serialize_ensemble, train_ensemble)
+from .ensemble import (VOTING_RULES, EnsembleModel, decide_hard, decide_soft,
+                       ensemble_decide, ensemble_posteriors, serialize_ensemble,
+                       train_ensemble)
 from .errors import GraphForestError
 from .graph import Graph
 from .metrics import micro_f1, overfit_gap
@@ -66,7 +68,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise UsageError(f"{name} must lie in (0, 1], got {v}")
-        if self.voting not in ("hard", "soft", "weighted"):
+        if self.voting not in VOTING_RULES:
             raise UsageError(f"unknown voting rule {self.voting!r}")
         if self.parallelism < 1:
             raise UsageError("parallelism must be >= 1")
@@ -74,6 +76,7 @@ class ExperimentConfig:
             raise UsageError("attack_targets must be >= 1")
         if self.greedy_pool < 1:
             raise UsageError("greedy_pool must be >= 1")
+        self.hyperparams()
 
     def hyperparams(self) -> HyperParams:
         try:
@@ -101,30 +104,22 @@ class ExperimentConfig:
         }
 
 
-_INT_KEYS = {"num_models", "num_layers", "hidden_dim", "epochs", "neighbor_cap",
-             "batch_size", "init_seed", "master_seed", "parallelism",
-             "attack_targets", "greedy_pool"}
-_FLOAT_KEYS = {"node_fraction", "feature_fraction", "learning_rate", "weight_decay"}
-_STR_KEYS = {"dataset", "voting", "output_dir"}
+_KIND_NAMES = {int: "an integer", float: "a number"}
 
 
-def _parse_config_pairs(pairs: dict[str, str]) -> dict:
+def _parse_fields(cls, pairs: dict[str, str], what: str) -> dict:
+    """Convert each raw value to the type of the ``cls`` field it names."""
+    types = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
     out = {}
     for key, raw in pairs.items():
-        if key in _INT_KEYS:
-            try:
-                out[key] = int(raw)
-            except ValueError:
-                raise UsageError(f"config key {key} needs an integer, got {raw!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                out[key] = float(raw)
-            except ValueError:
-                raise UsageError(f"config key {key} needs a number, got {raw!r}") from None
-        elif key in _STR_KEYS:
-            out[key] = raw
-        else:
-            raise UsageError(f"unknown config key {key!r}")
+        if key not in names:
+            raise UsageError(f"unknown {what} {key!r}")
+        kind = types[key]
+        try:
+            out[key] = kind(raw)
+        except ValueError:
+            raise UsageError(f"{what} {key} needs {_KIND_NAMES[kind]}, got {raw!r}") from None
     return out
 
 
@@ -148,7 +143,8 @@ def read_config_file(path: str) -> dict[str, str]:
 def assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
-        cfg = replace(cfg, **_parse_config_pairs(read_config_file(args.config)))
+        pairs = read_config_file(args.config)
+        cfg = replace(cfg, **_parse_fields(ExperimentConfig, pairs, "config key"))
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -156,7 +152,7 @@ def assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     if overrides:
-        cfg = replace(cfg, **_parse_config_pairs(overrides))
+        cfg = replace(cfg, **_parse_fields(ExperimentConfig, overrides, "config key"))
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.parallelism is not None:
@@ -185,15 +181,8 @@ def resolve_dataset(cfg: ExperimentConfig) -> Graph:
                 raise UsageError(f"bad sbm parameter {part!r}")
             key, _, value = part.partition("=")
             params[key.strip()] = value.strip()
+        kwargs = _parse_fields(SbmConfig, params, "sbm parameter")
         try:
-            kwargs = {}
-            for key, value in params.items():
-                if key in ("num_nodes", "num_classes", "feature_dim", "seed"):
-                    kwargs[key] = int(value)
-                elif key in ("p_in", "p_out", "signal", "noise_sd", "train_fraction"):
-                    kwargs[key] = float(value)
-                else:
-                    raise UsageError(f"unknown sbm parameter {key!r}")
             return generate_sbm(SbmConfig(**kwargs))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad sbm dataset spec: {exc}") from None
@@ -264,6 +253,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig, node_fractions, feature_fractions) -> int:
     if not node_fractions or not feature_fractions:
         raise UsageError("sweep needs non-empty fraction lists")
+    cell_cfgs = [replace(cfg, node_fraction=nf, feature_fraction=ff)
+                 for nf in node_fractions for ff in feature_fractions]
+    for cell_cfg in cell_cfgs:
+        cell_cfg.validate()
     g = resolve_dataset(cfg)
     test_nodes = _require_test_split(g)
     truth = g.labels[test_nodes]
@@ -282,14 +275,10 @@ def cmd_sweep(cfg: ExperimentConfig, node_fractions, feature_fractions) -> int:
     base_eval = evaluate(base)
     rows.append({"setting": "baseline", **base_cfg.echo(), **base_eval})
     cells = {}
-    for nf in node_fractions:
-        for ff in feature_fractions:
-            cell_cfg = replace(cfg, node_fraction=nf, feature_fraction=ff)
-            cell_cfg.validate()
-            e = _train(cell_cfg, g)
-            cell_eval = evaluate(e)
-            cells[(nf, ff)] = cell_eval["test_f1"]
-            rows.append({"setting": "ensemble", **cell_cfg.echo(), **cell_eval})
+    for cell_cfg in cell_cfgs:
+        cell_eval = evaluate(_train(cell_cfg, g))
+        cells[(cell_cfg.node_fraction, cell_cfg.feature_fraction)] = cell_eval["test_f1"]
+        rows.append({"setting": "ensemble", **cell_cfg.echo(), **cell_eval})
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     save_report(rows, os.path.join(cfg.output_dir, "sweep.csv"), "csv")
@@ -308,6 +297,12 @@ def cmd_sweep(cfg: ExperimentConfig, node_fractions, feature_fractions) -> int:
 def cmd_overfit(cfg: ExperimentConfig, reverse: bool, hidden_widths) -> int:
     if not hidden_widths:
         raise UsageError("overfit needs a non-empty hidden width list")
+    runs = [(setting, replace(setting_cfg, hidden_dim=int(hidden)))
+            for hidden in hidden_widths
+            for setting, setting_cfg in (("baseline", _baseline_config(cfg)),
+                                         ("ensemble", cfg))]
+    for _, run_cfg in runs:
+        run_cfg.validate()
     g = resolve_dataset(cfg)
     if g.train_nodes.size == 0 or g.test_nodes.size == 0:
         raise GraphForestError("overfit experiment needs both train and test splits")
@@ -315,19 +310,15 @@ def cmd_overfit(cfg: ExperimentConfig, reverse: bool, hidden_widths) -> int:
         g = _swap_train_test(g)
 
     rows = []
-    for hidden in hidden_widths:
-        for setting, setting_cfg in (("baseline", _baseline_config(cfg)),
-                                     ("ensemble", cfg)):
-            run_cfg = replace(setting_cfg, hidden_dim=int(hidden))
-            run_cfg.validate()
-            e = _train(run_cfg, g)
-            train_pred = ensemble_decide(e, g, g.train_nodes)
-            test_pred = ensemble_decide(e, g, g.test_nodes)
-            train_f1 = micro_f1(train_pred, g.labels[g.train_nodes])
-            test_f1 = micro_f1(test_pred, g.labels[g.test_nodes])
-            rows.append({"setting": setting, "reverse": reverse,
-                         "train_f1": train_f1, "test_f1": test_f1,
-                         "gap": overfit_gap(train_f1, test_f1), **run_cfg.echo()})
+    for setting, run_cfg in runs:
+        e = _train(run_cfg, g)
+        train_pred = ensemble_decide(e, g, g.train_nodes)
+        test_pred = ensemble_decide(e, g, g.test_nodes)
+        train_f1 = micro_f1(train_pred, g.labels[g.train_nodes])
+        test_f1 = micro_f1(test_pred, g.labels[g.test_nodes])
+        rows.append({"setting": setting, "reverse": reverse,
+                     "train_f1": train_f1, "test_f1": test_f1,
+                     "gap": overfit_gap(train_f1, test_f1), **run_cfg.echo()})
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     save_report(rows, os.path.join(cfg.output_dir, "overfit.csv"), "csv")

@@ -89,6 +89,8 @@ def train_ensemble(g: Graph, num_models: int, node_fraction: float,
     """
     if num_models < 1:
         raise ValueError("need at least one base model")
+    if voting not in VOTING_RULES:
+        raise ValueError(f"unknown voting rule {voting!r}")
     specs = [sample_subspace(g, node_fraction, feature_fraction, j, master_seed)
              for j in range(num_models)]
 
@@ -119,19 +121,19 @@ def ensemble_posteriors(e: EnsembleModel, g: Graph, nodes) -> PosteriorStack:
     return PosteriorStack(probs=_posteriors(e.models, g, node_arr), nodes=node_arr)
 
 
-def discriminant(stack: PosteriorStack, weights) -> np.ndarray:
-    """Weighted average of the per-model posteriors; rows stay stochastic."""
+def decide_soft(stack: PosteriorStack, weights=None) -> np.ndarray:
+    """Argmax of the weighted average of the per-model posteriors.
+
+    ``weights`` defaults to uniform; the weighted rule passes the
+    normalized train-F1 weights of ``train_ensemble``. Ties go to the
+    smallest class id.
+    """
+    if weights is None:
+        weights = np.full(stack.num_models, 1.0 / stack.num_models)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != stack.num_models:
         raise ValueError(f"{w.size} weights for {stack.num_models} models")
-    return np.einsum("k,kns->ns", w, stack.probs)
-
-
-def decide_soft(stack: PosteriorStack, weights=None) -> np.ndarray:
-    """Argmax of the averaged posterior; ties go to the smallest class id."""
-    if weights is None:
-        weights = np.full(stack.num_models, 1.0 / stack.num_models)
-    return discriminant(stack, weights).argmax(axis=1)
+    return np.einsum("k,kns->ns", w, stack.probs).argmax(axis=1)
 
 
 def decide_hard(stack: PosteriorStack) -> np.ndarray:
@@ -159,19 +161,6 @@ def decide_hard(stack: PosteriorStack) -> np.ndarray:
                 best_class, best_conf = int(c), conf
         out[i] = best_class
     return out
-
-
-def decide_weighted(stack: PosteriorStack, accuracies) -> np.ndarray:
-    """Soft voting with weights proportional to past per-model accuracy."""
-    acc = np.asarray(accuracies, dtype=np.float64).reshape(-1)
-    if acc.size != stack.num_models:
-        raise ValueError(f"{acc.size} accuracies for {stack.num_models} models")
-    if np.any(acc < 0):
-        raise ValueError("accuracies must be non-negative")
-    total = acc.sum()
-    if total <= 0:
-        raise ValueError("accuracies are all zero")
-    return decide_soft(stack, acc / total)
 
 
 def ensemble_decide(e: EnsembleModel, g: Graph, nodes) -> np.ndarray:
@@ -239,22 +228,6 @@ def _read_model(header: dict, buf: memoryview, offset: int) -> tuple[BaseModel, 
     return model, offset
 
 
-def _pack(header: dict, payload: list[bytes]) -> bytes:
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"".join([_MAGIC, len(blob).to_bytes(8, "little"), blob, *payload])
-
-
-def _unpack(data: bytes) -> tuple[dict, memoryview, int]:
-    if not data.startswith(_MAGIC):
-        raise ValueError("not a graphforest model file")
-    header_len = int.from_bytes(data[len(_MAGIC):len(_MAGIC) + 8], "little")
-    start = len(_MAGIC) + 8
-    header = json.loads(data[start:start + header_len].decode("utf-8"))
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {header.get('format_version')}")
-    return header, memoryview(data), start + header_len
-
-
 def serialize_ensemble(e: EnsembleModel) -> bytes:
     header = {
         "format_version": _FORMAT_VERSION,
@@ -267,16 +240,24 @@ def serialize_ensemble(e: EnsembleModel) -> bytes:
         "weights": [float(w) for w in e.weights],
         "models": [_model_header(m) for m in e.models],
     }
-    payload = []
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    chunks = [_MAGIC, len(blob).to_bytes(8, "little"), blob]
     for m in e.models:
-        payload.extend(_model_payload(m))
-    return _pack(header, payload)
+        chunks.extend(_model_payload(m))
+    return b"".join(chunks)
 
 
 def deserialize_ensemble(data: bytes) -> EnsembleModel:
-    header, buf, offset = _unpack(data)
-    if header["kind"] != "ensemble":
+    if not data.startswith(_MAGIC):
+        raise ValueError("not a graphforest model file")
+    start = len(_MAGIC) + 8
+    offset = start + int.from_bytes(data[len(_MAGIC):start], "little")
+    header = json.loads(data[start:offset].decode("utf-8"))
+    if header.get("format_version") != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {header.get('format_version')}")
+    if header.get("kind") != "ensemble":
         raise ValueError("file does not hold an ensemble")
+    buf = memoryview(data)
     models = []
     for mh in header["models"]:
         model, offset = _read_model(mh, buf, offset)
@@ -300,30 +281,6 @@ def save_ensemble(e: EnsembleModel, path) -> None:
 def load_ensemble(path) -> EnsembleModel:
     with open(path, "rb") as fh:
         return deserialize_ensemble(fh.read())
-
-
-def serialize_base_model(m: BaseModel) -> bytes:
-    header = {"format_version": _FORMAT_VERSION, "kind": "model",
-              "model": _model_header(m)}
-    return _pack(header, _model_payload(m))
-
-
-def deserialize_base_model(data: bytes) -> BaseModel:
-    header, buf, offset = _unpack(data)
-    if header["kind"] != "model":
-        raise ValueError("file does not hold a single base model")
-    model, _ = _read_model(header["model"], buf, offset)
-    return model
-
-
-def save_base_model(m: BaseModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_base_model(m))
-
-
-def load_base_model(path) -> BaseModel:
-    with open(path, "rb") as fh:
-        return deserialize_base_model(fh.read())
 
 
 def ensemble_digest(e: EnsembleModel) -> str:

@@ -41,37 +41,6 @@ def _check_ids_in_range(ids: np.ndarray, upper: int, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class NodeMapping:
-    """Bijection between a subgraph's node ids and the original ids.
-
-    ``forward`` maps original id -> subgraph id (-1 where not sampled);
-    ``backward`` maps subgraph id -> original id and is total.
-    """
-
-    forward: np.ndarray
-    backward: np.ndarray
-
-    def __post_init__(self):
-        self.forward.flags.writeable = False
-        self.backward.flags.writeable = False
-
-    def to_subgraph(self, ids) -> np.ndarray:
-        out = self.forward[np.asarray(ids, dtype=np.int64)]
-        if np.any(out < 0):
-            raise GraphValidationError("id not present in the sampled node set")
-        return out
-
-    def to_original(self, ids) -> np.ndarray:
-        return self.backward[np.asarray(ids, dtype=np.int64)]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.backward.size == self.forward.size and bool(
-            np.all(self.backward == np.arange(self.backward.size))
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected, unweighted attributed graph.
 
@@ -226,12 +195,11 @@ def build_graph(
     )
 
 
-def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
+def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph on ``nodes``: keeps exactly the edges with both endpoints sampled.
 
-    Features, labels and splits are re-indexed through the returned
-    NodeMapping. Node order is preserved (sorted original ids), so the
-    mapping is monotone.
+    Subgraph id i is original id ``sorted(set(nodes))[i]``; edges,
+    features, labels and splits are re-indexed accordingly.
     """
     sel = _as_id_array(nodes)
     if sel.size == 0:
@@ -251,7 +219,7 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
         mapped = forward[ids]
         return mapped[mapped >= 0]
 
-    sub = Graph(
+    return Graph(
         num_nodes=int(sel.size),
         num_edges=int(new_cols.size // 2),
         indptr=indptr,
@@ -263,7 +231,6 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, NodeMapping]:
         val_nodes=_remap(g.val_nodes),
         test_nodes=_remap(g.test_nodes),
     )
-    return sub, NodeMapping(forward=forward, backward=sel)
 
 
 def restrict_features(g: Graph, dims) -> Graph:

@@ -9,42 +9,25 @@ import numpy as np
 COST_MODEL_KINDS = ("graphsage", "fastgcn", "clustergcn")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Micro-aggregated true/false positive and false negative counts."""
-
-    tp: int
-    fp: int
-    fn: int
-
-    @classmethod
-    def from_predictions(cls, pred, truth) -> "ConfusionCounts":
-        pred = np.asarray(pred, dtype=np.int64).reshape(-1)
-        truth = np.asarray(truth, dtype=np.int64).reshape(-1)
-        if pred.size != truth.size:
-            raise ValueError(f"length mismatch: {pred.size} predictions, {truth.size} labels")
-        if pred.size == 0:
-            raise ValueError("empty input")
-        tp = fp = fn = 0
-        for c in np.union1d(pred, truth):
-            is_pred = pred == c
-            is_true = truth == c
-            tp += int(np.sum(is_pred & is_true))
-            fp += int(np.sum(is_pred & ~is_true))
-            fn += int(np.sum(~is_pred & is_true))
-        return cls(tp=tp, fp=fp, fn=fn)
-
-
 def micro_f1(pred, truth) -> float:
     """Micro-averaged F1 = 2PR/(P+R) with P = tp/(tp+fp), R = tp/(tp+fn).
 
-    For single-label multi-class predictions this equals plain accuracy.
+    For single-label multi-class predictions each miss is one false
+    positive (its predicted class) and one false negative (its true
+    class), so fp = fn = n - tp and the score equals plain accuracy.
     """
-    counts = ConfusionCounts.from_predictions(pred, truth)
-    if counts.tp == 0:
+    pred = np.asarray(pred, dtype=np.int64).reshape(-1)
+    truth = np.asarray(truth, dtype=np.int64).reshape(-1)
+    if pred.size != truth.size:
+        raise ValueError(f"length mismatch: {pred.size} predictions, {truth.size} labels")
+    if pred.size == 0:
+        raise ValueError("empty input")
+    tp = int(np.count_nonzero(pred == truth))
+    if tp == 0:
         return 0.0
-    precision = counts.tp / (counts.tp + counts.fp)
-    recall = counts.tp / (counts.tp + counts.fn)
+    fp = fn = pred.size - tp
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall)
 
 

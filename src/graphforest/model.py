@@ -86,22 +86,10 @@ class GnnParams:
     def input_dim(self) -> int:
         return self.agg_weights[0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.agg_weights[-1].shape[0]
-
     def arrays(self):
         for w, s in zip(self.agg_weights, self.self_weights):
             yield w
             yield s
-
-    def copy(self) -> "GnnParams":
-        return GnnParams([w.copy() for w in self.agg_weights],
-                         [s.copy() for s in self.self_weights])
-
-    def allclose(self, other: "GnnParams", tol: float = 0.0) -> bool:
-        return all(np.allclose(a, b, rtol=0.0, atol=tol)
-                   for a, b in zip(self.arrays(), other.arrays()))
 
 
 @dataclass(eq=False)
@@ -329,7 +317,7 @@ def train_base_model(g: Graph, spec: SubspaceSpec, hp: HyperParams,
     training-node loss (full batch when batch_size == 0). Deterministic
     in (spec.seed, hp.init_seed).
     """
-    sub, _ = induced_subgraph(g, spec.node_subset)
+    sub = induced_subgraph(g, spec.node_subset)
     sub = restrict_features(sub, spec.feature_subset)
     train_nodes = sub.train_nodes
     train_labels = sub.labels[train_nodes]

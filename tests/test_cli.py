@@ -1,20 +1,39 @@
 import hashlib
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from graphforest import (edge_preservation_ratio, ensemble_digest, induced_subgraph,
-                         load_ensemble, load_report, overfit_gap, save_ensemble,
-                         save_report)
-from graphforest.cli import ExperimentConfig, _train, cmd_train, main, resolve_dataset
+from graphforest import (SbmConfig, edge_preservation_ratio, ensemble_digest,
+                         induced_subgraph, load_ensemble, load_report, overfit_gap,
+                         save_ensemble, save_report)
+from graphforest.cli import (THREADS_ENV, ExperimentConfig, _train, assemble_config,
+                             build_parser, cmd_train, main, resolve_dataset)
 
 SBM_TINY = ("sbm:num_nodes=60,num_classes=2,p_in=0.3,p_out=0.03,feature_dim=10,"
             "signal=1.0,noise_sd=0.8,train_fraction=0.3,seed=11")
 
 
+CONFIG_TYPES = get_type_hints(ExperimentConfig)
+SBM_TYPES = get_type_hints(SbmConfig)
+MALFORMED = {int: "2.5", float: "abc"}
+GOOD = {int: "7", float: "0.25", str: "some/where"}
+
+
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trained before the config was rejected")
+
+    monkeypatch.setattr("graphforest.cli._train", fail)
 
 
 def digest_dir(path):
@@ -46,7 +65,7 @@ def pre_change_train_outputs(cfg, out):
     lines = ["graphforest train"]
     lines += [f"{key}={value}" for key, value in cfg.echo().items()]
     for m in ensemble.models:
-        sub, _ = induced_subgraph(g, m.spec.node_subset)
+        sub = induced_subgraph(g, m.spec.node_subset)
         keep = edge_preservation_ratio(g, sub)
         lines.append(
             f"model {m.spec.model_index}: seed={m.spec.seed} "
@@ -181,6 +200,12 @@ class TestSweep:
                    "--format", "markdown", "--out-file", str(rendered)) == 0
         assert rendered.read_text() == (out / "sweep.md").read_text()
 
+    def test_bad_cell_is_usage_error_before_training(self, tmp_path, no_training):
+        out = tmp_path / "bad"
+        assert run("sweep", "--config", write_config(tmp_path), "--out", str(out),
+                   "--node-fractions", "0.5,1.0,1.5", "--feature-fractions", "0.5") == 1
+        assert not out.exists()
+
 
 class TestOverfit:
     def test_rows_and_gap_column(self, tmp_path):
@@ -210,6 +235,12 @@ class TestOverfit:
                    "--hidden-widths", "4") == 0
         rows = load_report(out / "overfit.csv")
         assert all(row["reverse"] == "True" for row in rows)
+
+    def test_bad_width_is_usage_error_before_training(self, tmp_path, no_training):
+        out = tmp_path / "bad"
+        assert run("overfit", "--config", write_config(tmp_path), "--out", str(out),
+                   "--hidden-widths", "8,16,0") == 1
+        assert not out.exists()
 
 
 class TestAttack:
@@ -242,18 +273,76 @@ class TestAttack:
         assert all(row["eval"] == "targets" for row in rows)
 
     @pytest.mark.parametrize("key", ["attack_targets", "greedy_pool"])
-    def test_non_positive_greedy_setting_is_usage_error(self, tmp_path, monkeypatch, key):
+    def test_non_positive_greedy_setting_is_usage_error(self, tmp_path, no_training, key):
         # rejected while the config is read, before any model is trained
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before the config was rejected")
-
-        monkeypatch.setattr("graphforest.cli._train", no_training)
         cfg = write_config(tmp_path, epochs=8)
         out = tmp_path / "bad"
         for value in ("0", "-3"):
             assert run("attack", "--config", cfg, "--set", f"{key}={value}",
                        "--out", str(out), "--attack", "greedy", "--budget", "0.02") == 1
         assert not out.exists()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("key,value", [("hidden_dim", "0"), ("num_layers", "0"),
+                                           ("epochs", "-1"), ("neighbor_cap", "-1"),
+                                           ("batch_size", "-1"), ("learning_rate", "0"),
+                                           ("weight_decay", "-1")])
+    def test_bad_hyperparameter_is_usage_error_before_training(self, tmp_path, no_training,
+                                                               key, value):
+        out = tmp_path / "bad"
+        assert run("train", "--config", write_config(tmp_path), "--set", f"{key}={value}",
+                   "--out", str(out)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [k for k, t in CONFIG_TYPES.items() if t in MALFORMED])
+    def test_malformed_value_names_key(self, tmp_path, capsys, no_training, key):
+        bad = MALFORMED[CONFIG_TYPES[key]]
+        assert run("train", "--config", write_config(tmp_path), "--set", f"{key}={bad}",
+                   "--out", str(tmp_path / "x")) == 1
+        assert f"config key {key} needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    def test_good_value_has_field_type(self, monkeypatch, key):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        kind = CONFIG_TYPES[key]
+        raw = "weighted" if key == "voting" else GOOD[kind]
+        args = build_parser().parse_args(["train", "--set", "dataset=somewhere",
+                                          "--set", f"{key}={raw}"])
+        value = getattr(assemble_config(args), key)
+        assert type(value) is kind and value == kind(raw)
+
+    SBM_BASE = {"num_nodes": "30", "num_classes": "2", "p_in": "0.2", "p_out": "0.05",
+                "feature_dim": "4"}
+
+    def sbm_spec(self, key, raw):
+        params = dict(self.SBM_BASE, **{key: raw})
+        return "sbm:" + ",".join(f"{k}={v}" for k, v in params.items())
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(SbmConfig)])
+    def test_malformed_sbm_value_names_key(self, tmp_path, capsys, no_training, key):
+        spec = self.sbm_spec(key, MALFORMED[SBM_TYPES[key]])
+        assert run("train", "--set", f"dataset={spec}", "--out", str(tmp_path / "x")) == 1
+        assert f"sbm parameter {key} needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(SbmConfig)])
+    def test_good_sbm_value_has_field_type(self, monkeypatch, key):
+        monkeypatch.setattr("graphforest.cli.generate_sbm", lambda sbm: sbm)
+        kind = SBM_TYPES[key]
+        sbm = resolve_dataset(ExperimentConfig(dataset=self.sbm_spec(key, GOOD[kind])))
+        value = getattr(sbm, key)
+        assert type(value) is kind and value == kind(GOOD[kind])
+
+    def test_readme_names_every_key_with_its_default(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        sentence = text.split("Config keys and defaults:", 1)[1].split("\n\n", 1)[0]
+        documented = dict(item.split("=", 1)
+                          for item in re.findall(r"`(\w+=[^`]*)`", sentence))
+        defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "dataset"}
+        assert documented.keys() == defaults.keys()
+        for key, raw in documented.items():
+            assert CONFIG_TYPES[key](raw) == defaults[key], key
 
 
 class TestReportVerb:

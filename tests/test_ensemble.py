@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,11 +11,11 @@ import pytest
 
 from graphforest import (DegenerateSubspaceError, EnsembleModel, GraphValidationError,
                          HyperParams, SbmConfig,
-                         build_graph, decide_hard, decide_soft, decide_weighted,
-                         deserialize_ensemble, discriminant, ensemble_decide,
+                         build_graph, decide_hard, decide_soft,
+                         deserialize_ensemble, ensemble_decide,
                          ensemble_digest, ensemble_posteriors, generate_sbm,
                          load_ensemble, micro_f1, predict_posterior,
-                         save_base_model, load_base_model, save_ensemble, save_graph_dir,
+                         save_ensemble, save_graph_dir,
                          serialize_ensemble, train_base_model, train_ensemble)
 from graphforest import model as model_module
 from graphforest.ensemble import PosteriorStack
@@ -53,6 +54,21 @@ def random_ensemble(rng, g, layer_counts, hidden=5, feature_fraction=0.5):
                          voting="soft", weights=np.full(k, 1.0 / k))
 
 
+def weighted_ensemble(monkeypatch, g, train_f1s):
+    """train_ensemble(voting='weighted') over fixed random models that carry
+    the given train F1 scores."""
+    fixed = random_ensemble(np.random.default_rng(len(train_f1s)), g,
+                            [2] * len(train_f1s)).models
+
+    def fake_train(g, spec, hp):
+        m = fixed[spec.model_index]
+        return BaseModel(params=m.params, spec=m.spec, train_f1=train_f1s[spec.model_index])
+
+    monkeypatch.setattr("graphforest.ensemble.train_base_model", fake_train)
+    return train_ensemble(g, len(train_f1s), 1.0, 1.0, HP_FAST, master_seed=0,
+                          voting="weighted")
+
+
 class TestTrainEnsemble:
     def test_single_model_identity(self, sbm_small):
         e = train_ensemble(sbm_small, 1, 1.0, 1.0, HP_FAST, master_seed=5)
@@ -82,6 +98,16 @@ class TestTrainEnsemble:
         scores = np.array([m.train_f1 for m in e.models])
         assert np.allclose(e.weights, scores / scores.sum())
         assert e.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_voting_rejected_before_training(self, sbm_small, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled or trained before the voting rule was rejected")
+
+        monkeypatch.setattr("graphforest.ensemble.sample_subspace", never)
+        monkeypatch.setattr("graphforest.ensemble.train_base_model", never)
+        with pytest.raises(ValueError, match="unknown voting rule 'majority'"):
+            train_ensemble(sbm_small, 6, 0.7, 0.5, HP_FAST, master_seed=0,
+                           voting="majority")
 
 
 class TestPosteriorStack:
@@ -296,23 +322,35 @@ class TestInferenceThreads:
 
 
 class TestDiscriminant:
+    """The weighted posterior average whose argmax ``decide_soft`` returns."""
+
     def test_two_model_average(self):
         stack = stack_from([[[0.6, 0.4]], [[0.2, 0.8]]])
-        out = discriminant(stack, [0.5, 0.5])
-        assert np.allclose(out, [[0.4, 0.6]])
+        assert decide_soft(stack, [0.5, 0.5]).tolist() == [1]   # [0.4, 0.6]
+        assert decide_soft(stack, [0.8, 0.2]).tolist() == [0]   # [0.52, 0.48]
 
     def test_single_model_identity(self):
-        stack = stack_from([[[0.3, 0.7]]])
-        assert np.allclose(discriminant(stack, [1.0]), [[0.3, 0.7]])
+        stack = stack_from([[[0.3, 0.7], [0.6, 0.4]]])
+        assert decide_soft(stack, [1.0]).tolist() == [1, 0]
 
     def test_one_hot_weights_select_slice(self):
         stack = stack_from([[[0.6, 0.4]], [[0.2, 0.8]], [[0.5, 0.5]]])
-        assert np.allclose(discriminant(stack, [1.0, 0.0, 0.0]), [[0.6, 0.4]])
+        assert decide_soft(stack, [1.0, 0.0, 0.0]).tolist() == [0]
+        assert decide_soft(stack, [0.0, 1.0, 0.0]).tolist() == [1]
 
     def test_weight_length_mismatch(self):
         stack = stack_from([[[0.6, 0.4]]])
         with pytest.raises(ValueError):
-            discriminant(stack, [0.5, 0.5])
+            decide_soft(stack, [0.5, 0.5])
+
+    def test_random_weights_match_reference(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            k, n, s = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            probs = rng.dirichlet(np.ones(s), size=(k, n))
+            weights = rng.dirichlet(np.ones(k))
+            assert (decide_soft(stack_from(probs), weights).tolist()
+                    == reference_soft_vote(probs.tolist(), weights.tolist()))
 
 
 class TestDecisionRules:
@@ -340,29 +378,37 @@ class TestDecisionRules:
         want = [1, 0]
         assert decide_soft(stack).tolist() == want
         assert decide_hard(stack).tolist() == want
-        assert decide_weighted(stack, [0.8]).tolist() == want
+        assert decide_soft(stack, [1.0]).tolist() == want
 
-    def test_weighted_equal_accuracies_match_soft(self):
-        rng = np.random.default_rng(0)
-        stack = stack_from(rng.dirichlet(np.ones(3), size=(4, 5)))
-        assert np.array_equal(decide_weighted(stack, [2.0] * 4),
-                              decide_soft(stack))
+    # the weighted rule: decide_soft over train_ensemble's normalized train F1s
 
-    def test_weighted_scaling_invariance(self):
-        rng = np.random.default_rng(1)
-        stack = stack_from(rng.dirichlet(np.ones(3), size=(5, 6)))
-        acc = rng.uniform(0.2, 1.0, size=5)
-        assert np.array_equal(decide_weighted(stack, acc),
-                              decide_weighted(stack, 7.5 * acc))
+    def test_weighted_equal_accuracies_match_soft(self, sbm_small, monkeypatch):
+        e = weighted_ensemble(monkeypatch, sbm_small, [0.5] * 4)
+        assert e.weights.tolist() == [0.25] * 4
+        nodes = np.arange(sbm_small.num_nodes)
+        assert np.array_equal(ensemble_decide(e, sbm_small, nodes),
+                              decide_soft(ensemble_posteriors(e, sbm_small, nodes)))
 
-    def test_weighted_single_model_weight_one(self):
-        stack = stack_from([[[0.1, 0.9]], [[0.8, 0.2]]])
-        assert decide_weighted(stack, [0.0, 1.0]).tolist() == [0]
+    def test_weighted_scaling_invariance(self, sbm_small, monkeypatch):
+        acc = np.random.default_rng(1).uniform(0.2, 1.0, size=5)
+        a = weighted_ensemble(monkeypatch, sbm_small, acc.tolist())
+        b = weighted_ensemble(monkeypatch, sbm_small, (0.5 * acc).tolist())
+        assert np.array_equal(a.weights, b.weights)
+        nodes = np.arange(sbm_small.num_nodes)
+        assert np.array_equal(ensemble_decide(a, sbm_small, nodes),
+                              ensemble_decide(b, sbm_small, nodes))
 
-    def test_weighted_all_zero_rejected(self):
-        stack = stack_from([[[0.5, 0.5]]])
-        with pytest.raises(ValueError):
-            decide_weighted(stack, [0.0])
+    def test_weighted_single_model_weight_one(self, sbm_small, monkeypatch):
+        e = weighted_ensemble(monkeypatch, sbm_small, [0.0, 1.0])
+        assert e.weights.tolist() == [0.0, 1.0]
+        nodes = np.arange(sbm_small.num_nodes)
+        stack = ensemble_posteriors(e, sbm_small, nodes)
+        assert np.array_equal(ensemble_decide(e, sbm_small, nodes),
+                              stack.probs[1].argmax(axis=1))
+
+    def test_weighted_all_zero_rejected(self, sbm_small, monkeypatch):
+        with pytest.raises(ValueError, match="train F1 > 0"):
+            weighted_ensemble(monkeypatch, sbm_small, [0.0, 0.0])
 
     def test_soft_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -444,22 +490,23 @@ class TestSerialization:
         b = train_ensemble(sbm_small, 2, 0.7, 0.5, HP_FAST, master_seed=8)
         assert ensemble_digest(a) == ensemble_digest(b)
 
-    def test_base_model_roundtrip(self, sbm_small, tmp_path):
-        spec = sample_subspace(sbm_small, 0.6, 0.5, 0, 4)
-        m = train_base_model(sbm_small, spec, HP_FAST)
-        path = tmp_path / "m.gfm"
-        save_base_model(m, path)
-        back = load_base_model(path)
-        assert np.array_equal(back.spec.feature_subset, m.spec.feature_subset)
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(m.params.arrays(), back.params.arrays()))
+    @staticmethod
+    def repack(blob: bytes, **changes) -> bytes:
+        """``blob`` with its JSON header fields replaced by ``changes``."""
+        magic = b"GFOREST1\n"
+        start = len(magic) + 8
+        end = start + int.from_bytes(blob[len(magic):start], "little")
+        header = json.loads(blob[start:end])
+        header.update(changes)
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return magic + len(text).to_bytes(8, "little") + text + blob[end:]
 
     def test_reject_wrong_kind(self, sbm_small):
         e = train_ensemble(sbm_small, 1, 1.0, 1.0, HP_FAST, master_seed=1)
         blob = serialize_ensemble(e)
-        with pytest.raises(ValueError):
-            from graphforest import deserialize_base_model
-            deserialize_base_model(blob)
+        assert self.repack(blob) == blob
+        with pytest.raises(ValueError, match="does not hold an ensemble"):
+            deserialize_ensemble(self.repack(blob, kind="model"))
         with pytest.raises(ValueError):
             deserialize_ensemble(b"junk" + blob)
 

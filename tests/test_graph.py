@@ -59,17 +59,16 @@ class TestBuildGraph:
 
 class TestInducedSubgraph:
     def test_triangle_keep_two(self, triangle):
-        sub, mapping = induced_subgraph(triangle, [0, 1])
+        sub = induced_subgraph(triangle, [0, 1])
         assert sub.num_edges == 1
-        assert mapping.to_original([0, 1]).tolist() == [0, 1]
+        assert np.array_equal(sub.features, triangle.features[[0, 1]])
 
     def test_keep_all_is_identity(self, triangle):
-        sub, mapping = induced_subgraph(triangle, range(3))
+        sub = induced_subgraph(triangle, range(3))
         assert sub.equals(triangle)
-        assert mapping.is_identity
 
     def test_path_endpoints_only(self, path3):
-        sub, _ = induced_subgraph(path3, [0, 2])
+        sub = induced_subgraph(path3, [0, 2])
         assert sub.num_edges == 0
 
     def test_empty_node_set(self, triangle):
@@ -77,11 +76,10 @@ class TestInducedSubgraph:
             induced_subgraph(triangle, [])
 
     def test_mapping_roundtrip(self, triangle):
-        _, mapping = induced_subgraph(triangle, [0, 2])
-        sampled = np.array([0, 2])
-        assert np.array_equal(mapping.to_original(mapping.to_subgraph(sampled)), sampled)
-        with pytest.raises(GraphValidationError):
-            mapping.to_subgraph([1])
+        # subgraph id i is sorted(set(nodes))[i], whatever the input order
+        sub = induced_subgraph(triangle, [2, 0, 2])
+        assert np.array_equal(sub.features, triangle.features[[0, 2]])
+        assert sub.edge_pairs().tolist() == [[0, 1]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -90,9 +88,9 @@ class TestInducedSubgraph:
             g = random_graph(rng, n)
             take = int(rng.integers(1, n + 1))
             nodes = rng.choice(n, size=take, replace=False)
-            sub, mapping = induced_subgraph(g, nodes)
-            got = {tuple(mapping.to_original([u, v]))
-                   for u, v in sub.edge_pairs()}
+            sub = induced_subgraph(g, nodes)
+            ids = np.sort(nodes)
+            got = {tuple(ids[[u, v]]) for u, v in sub.edge_pairs()}
             got = {(min(u, v), max(u, v)) for u, v in got}
             assert got == brute_force_induced_edges(g.edge_pairs(), nodes)
             check_invariants(sub)
@@ -100,7 +98,7 @@ class TestInducedSubgraph:
     def test_splits_and_labels_reindexed(self):
         g = build_graph([(0, 1), (1, 2), (2, 3)], np.eye(4), labels=[0, 1, 0, 1],
                         splits={"train": [0, 3], "test": [1]})
-        sub, _ = induced_subgraph(g, [0, 1, 3])
+        sub = induced_subgraph(g, [0, 1, 3])
         assert sub.labels.tolist() == [0, 1, 1]
         assert sub.train_nodes.tolist() == [0, 2]
         assert sub.test_nodes.tolist() == [1]
@@ -131,15 +129,15 @@ class TestRestrictFeatures:
             g = random_graph(rng, 12, d=6)
             nodes = rng.choice(12, size=7, replace=False)
             dims = rng.choice(6, size=3, replace=False)
-            a = restrict_features(induced_subgraph(g, nodes)[0], dims)
-            b = induced_subgraph(restrict_features(g, dims), nodes)[0]
+            a = restrict_features(induced_subgraph(g, nodes), dims)
+            b = induced_subgraph(restrict_features(g, dims), nodes)
             assert a.equals(b)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(4)
         g = random_graph(rng, 15, d=5)
         round_tripped = restrict_features(
-            induced_subgraph(g, range(15))[0], range(5))
+            induced_subgraph(g, range(15)), range(5))
         assert round_tripped.equals(g)
 
 
@@ -161,18 +159,18 @@ class TestEdgePreservation:
     def test_k4_keep_three(self):
         k4 = build_graph([(i, j) for i in range(4) for j in range(i + 1, 4)],
                          np.zeros((4, 1)))
-        sub, _ = induced_subgraph(k4, [0, 1, 2])
+        sub = induced_subgraph(k4, [0, 1, 2])
         assert edge_preservation_ratio(k4, sub) == pytest.approx(0.5)
 
     def test_keep_all(self, triangle):
-        sub, _ = induced_subgraph(triangle, range(3))
+        sub = induced_subgraph(triangle, range(3))
         assert edge_preservation_ratio(triangle, sub) == 1.0
 
     def test_path_keep_ends(self, path3):
-        sub, _ = induced_subgraph(path3, [0, 2])
+        sub = induced_subgraph(path3, [0, 2])
         assert edge_preservation_ratio(path3, sub) == 0.0
 
     def test_edgeless_full_graph(self):
         g = build_graph([], np.zeros((3, 1)))
-        sub, _ = induced_subgraph(g, [0, 1])
+        sub = induced_subgraph(g, [0, 1])
         assert edge_preservation_ratio(g, sub) == 1.0
