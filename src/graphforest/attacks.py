@@ -8,7 +8,10 @@ resolved budget.
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +19,7 @@ import numpy as np
 
 from .graph import Graph
 from .metrics import micro_f1
+from .model import _usable_cores
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,15 @@ def _flip_edge(g: Graph, u: int, v: int) -> Graph:
     """
     if u == v:
         raise ValueError("cannot flip a self-loop")
-    present = g.has_edge(u, v)
+    pos_u = g.indptr[u] + int(np.searchsorted(g.neighbors(u), v))
+    pos_v = g.indptr[v] + int(np.searchsorted(g.neighbors(v), u))
     indptr = g.indptr.copy()
-    if present:
-        pos_u = g.indptr[u] + int(np.searchsorted(g.neighbors(u), v))
-        pos_v = g.indptr[v] + int(np.searchsorted(g.neighbors(v), u))
+    if g.has_edge(u, v):
         indices = np.delete(g.indices, [pos_u, pos_v])
         indptr[min(u, v) + 1:] -= 1
         indptr[max(u, v) + 1:] -= 1
         num_edges = g.num_edges - 1
     else:
-        pos_u = g.indptr[u] + int(np.searchsorted(g.neighbors(u), v))
-        pos_v = g.indptr[v] + int(np.searchsorted(g.neighbors(v), u))
         indices = np.insert(g.indices, [pos_u, pos_v], [v, u])
         indptr[min(u, v) + 1:] += 1
         indptr[max(u, v) + 1:] += 1
@@ -128,6 +129,29 @@ def _two_hop_pool(g: Graph, targets: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([targets, hop1, _neighbors_of(g, hop1)]))
 
 
+def _sample_candidates(rng: np.random.Generator, pool: np.ndarray, n: int,
+                       used: set, size: int) -> list[tuple[int, int]]:
+    """Up to ``size`` distinct unspent pairs joining a node of ``pool`` to
+    any node, in sampled order."""
+    candidates: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    attempts = 0
+    while len(candidates) < size and attempts < size * 64:
+        attempts += 1
+        a = int(pool[int(rng.integers(pool.size))])
+        b = int(rng.integers(n))
+        if a == b:
+            continue
+        pair = (a, b) if a < b else (b, a)
+        if pair in used or pair in seen:
+            continue
+        seen.add(pair)
+        candidates.append(pair)
+    if not candidates:
+        raise RuntimeError("no unspent candidate flips available")
+    return candidates
+
+
 def greedy_confidence_attack(g: Graph, victim: Callable[[Graph], np.ndarray],
                              targets, budget: AttackBudget,
                              candidate_pool_size: int, seed: int) -> Graph:
@@ -139,6 +163,12 @@ def greedy_confidence_attack(g: Graph, victim: Callable[[Graph], np.ndarray],
     candidate graph, and keep the flip that minimizes the mean true-class
     confidence over the targets (ties: first sampled). Deterministic in
     ``seed``; the oracle is only ever queried, never inspected.
+
+    Candidates are sampled on the caller's thread, and a step's queries
+    run on up to one thread per usable core, so the victim may be called
+    from several threads at once and must be safe to call so. The choice
+    is made in sampled order, which keeps the attacked graph byte-identical
+    at any core count.
     """
     target_arr = np.asarray(targets, dtype=np.int64).reshape(-1)
     true_labels = g.labels[target_arr]
@@ -151,34 +181,24 @@ def greedy_confidence_attack(g: Graph, victim: Callable[[Graph], np.ndarray],
     out = g
     rows = np.arange(target_arr.size)
 
-    for _ in range(budget.resolved_edges):
-        pool = _two_hop_pool(out, target_arr)
-        candidates: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        attempts = 0
-        while len(candidates) < candidate_pool_size and attempts < candidate_pool_size * 64:
-            attempts += 1
-            a = int(pool[int(rng.integers(pool.size))])
-            b = int(rng.integers(g.num_nodes))
-            if a == b:
-                continue
-            pair = (a, b) if a < b else (b, a)
-            if pair in used or pair in seen:
-                continue
-            seen.add(pair)
-            candidates.append(pair)
-        if not candidates:
-            raise RuntimeError("no unspent candidate flips available")
+    def confidence(graph: Graph, pair: tuple[int, int]) -> float:
+        return float(victim(_flip_edge(graph, *pair))[rows, true_labels].mean())
 
-        best_idx, best_score = 0, math.inf
-        for idx, pair in enumerate(candidates):
-            probe = _flip_edge(out, *pair)
-            score = float(victim(probe)[rows, true_labels].mean())
-            if score < best_score:
-                best_idx, best_score = idx, score
-        pair = candidates[best_idx]
-        out = _flip_edge(out, *pair)
-        used.add(pair)
+    workers = min(candidate_pool_size, _usable_cores())
+    # on one core a thread per query would only add start-up cost
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        scan = map if pool is None else pool.map
+        for _ in range(budget.resolved_edges):
+            candidates = _sample_candidates(rng, _two_hop_pool(out, target_arr),
+                                            g.num_nodes, used, candidate_pool_size)
+            scores = scan(functools.partial(confidence, out), candidates)
+            best_idx, best_score = 0, math.inf
+            for idx, score in enumerate(scores):
+                if score < best_score:
+                    best_idx, best_score = idx, score
+            pair = candidates[best_idx]
+            out = _flip_edge(out, *pair)
+            used.add(pair)
     return out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -62,10 +63,11 @@ class HyperParams:
             raise ValueError("need at least one layer")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        # chained comparisons, so that NaN fails them too
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
         if self.epochs < 0 or self.neighbor_cap < 0 or self.batch_size < 0:
             raise ValueError("epochs, neighbor_cap and batch_size must be non-negative")
 
@@ -381,29 +383,40 @@ def _openblas():
     return None
 
 
-# the BLAS thread count is process-wide, so one caller at a time may pin it
+# the BLAS thread count is process-wide, so overlapping callers share one
+# pin: the first one in saves the count and sets 1, the last one out
+# restores it; the lock guards only this bookkeeping
 _BLAS_PIN_LOCK = threading.Lock()
+_blas_pin_holders = 0
+_blas_saved_threads = 0
 
 
 @contextmanager
 def _blas_single_thread():
-    """Hold numpy's OpenBLAS at one thread, restoring the old count on exit;
-    a no-op where the library is absent.
+    """Hold numpy's OpenBLAS at one thread while any caller is inside,
+    restoring the old count when the last one leaves; a no-op where the
+    library is absent.
 
     Scoped, not global: serial training runs faster with BLAS threads.
     """
+    global _blas_pin_holders, _blas_saved_threads
     api = _openblas()
     if api is None:
         yield
         return
     get, set_ = api
     with _BLAS_PIN_LOCK:
-        old = get()
-        set_(1)
-        try:
-            yield
-        finally:
-            set_(old)
+        if _blas_pin_holders == 0:
+            _blas_saved_threads = get()
+            set_(1)
+        _blas_pin_holders += 1
+    try:
+        yield
+    finally:
+        with _BLAS_PIN_LOCK:
+            _blas_pin_holders -= 1
+            if _blas_pin_holders == 0:
+                set_(_blas_saved_threads)
 
 
 def _usable_cores() -> int:

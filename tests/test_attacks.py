@@ -1,3 +1,11 @@
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +15,7 @@ from graphforest import (AttackBudget, HyperParams, budget_for, build_graph,
                          random_flip_attack, robustness_eval, train_ensemble,
                          SbmConfig)
 from conftest import random_graph
+from graphforest import attacks as attacks_module
 from graphforest.attacks import _two_hop_pool
 from oracles import reference_random_flip_csr, reference_two_hop_pool
 from test_acceptance import FIXTURE, SEEDS
@@ -147,7 +156,10 @@ class TestGreedy:
             AttackBudget(0.0, 0), candidate_pool_size=4, seed=2)
         assert out.equals(g)
 
-    def test_constant_oracle_spends_budget_on_first_candidates(self, attack_fixture):
+    def test_constant_oracle_spends_budget_on_first_candidates(self, monkeypatch,
+                                                               attack_fixture):
+        # on one core the oracle is queried in sampled order
+        monkeypatch.setattr(attacks_module, "_usable_cores", lambda: 1)
         g, _ = attack_fixture
         targets = g.test_nodes[:4]
         queried = []
@@ -163,6 +175,25 @@ class TestGreedy:
         # ties resolve to the first sampled candidate: step 1's accepted
         # flip is exactly the first queried graph
         assert edit_distance(queried[0], out) == 2
+
+    def test_constant_oracle_ties_match_serial_when_threaded(self, monkeypatch,
+                                                             attack_fixture):
+        # every score ties, so each step must keep its first sampled
+        # candidate whichever thread finishes first
+        g, _ = attack_fixture
+        targets = g.test_nodes[:4]
+
+        def constant_oracle(gg):
+            return np.full((targets.size, g.num_classes), 1.0 / g.num_classes)
+
+        outs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(attacks_module, "_usable_cores", lambda: cores)
+            outs.append(greedy_confidence_attack(g, constant_oracle, targets,
+                                                 AttackBudget(0.0, 3),
+                                                 candidate_pool_size=5, seed=7))
+        assert np.array_equal(outs[0].indptr, outs[1].indptr)
+        assert np.array_equal(outs[0].indices, outs[1].indices)
 
     def test_confidence_monotone_over_steps(self, attack_fixture):
         # same seed + growing budget reproduces the step prefix, so the
@@ -215,6 +246,107 @@ class TestGreedy:
         b = greedy_confidence_attack(g, oracle, targets, AttackBudget(1.0, 4),
                                      candidate_pool_size=6, seed=13)
         assert a.equals(b)
+
+
+GREEDY_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from graphforest import (HyperParams, SbmConfig, budget_for, derive_seed, generate_sbm,
+                         greedy_confidence_attack, predict_posterior, train_ensemble)
+
+g = generate_sbm(SbmConfig(**json.loads(sys.argv[1])))
+budget = budget_for(g, 0.004)
+for seed in json.loads(sys.argv[2]):
+    victim = train_ensemble(g, 1, 1.0, 1.0, HyperParams(hidden_dim=64, epochs=50),
+                            master_seed=seed).models[0]
+    rng = np.random.default_rng(derive_seed(seed, 9002))
+    targets = np.sort(rng.choice(g.test_nodes, size=30, replace=False))
+    adv = greedy_confidence_attack(
+        g, lambda gg: predict_posterior(victim, gg, targets), targets, budget,
+        candidate_pool_size=32, seed=derive_seed(seed, 9003))
+    print(hashlib.sha256(adv.edge_pairs().astype(np.int64).tobytes()).hexdigest())
+"""
+
+# SHA-256 of the greedy attacked edge sets of criterion 5's victims, targets
+# and seeds at budget 0.004 (29 flips), recorded under one BLAS thread
+# before the candidates were scored on threads
+ACCEPTANCE_GREEDY_DIGESTS = [
+    "391897ef3c61cba97984378ad19ca1e84780a6c1a91f414b2dffc7274136811e",
+    "34b19582c947b5ff0a984f79a65d516c8032f59c75f3c47e95a2f812f58304d6",
+    "2aeae8fd4a6a99dc308e0614190bd6b3f90f50a25104968c75b3f0e251dad385",
+    "a6485550d463639f1447091ad6692fdb35a63190a716d6e1a666f669f1c64944",
+    "4edfac58b96bc2b4c1908ae76f09ee929b38066b751ab7def511774a0c514506",
+]
+
+
+class TestGreedyThreads:
+    """Each greedy step scores its candidates on up to one thread per
+    usable core; the attacked graph may not depend on that."""
+
+    def test_acceptance_digests_unchanged(self):
+        # victims are trained in the subprocess, so BLAS is pinned there
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", GREEDY_DIGESTS,
+                               json.dumps(dataclasses.asdict(FIXTURE)), json.dumps(list(SEEDS))],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert proc.stdout.split() == ACCEPTANCE_GREEDY_DIGESTS
+
+    def test_same_graph_at_any_core_count(self, monkeypatch, acceptance_graph):
+        g = acceptance_graph
+        victim = train_ensemble(g, 1, 1.0, 1.0, HyperParams(hidden_dim=64, epochs=50),
+                                master_seed=0).models[0]
+        rng = np.random.default_rng(derive_seed(0, 9002))
+        targets = np.sort(rng.choice(g.test_nodes, size=30, replace=False))
+        outs = []
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(attacks_module, "_usable_cores", lambda: cores)
+            outs.append(greedy_confidence_attack(
+                g, lambda gg: predict_posterior(victim, gg, targets), targets,
+                budget_for(g, 0.004), candidate_pool_size=32, seed=derive_seed(0, 9003)))
+        for out in outs[1:]:
+            assert np.array_equal(out.indptr, outs[0].indptr)
+            assert np.array_equal(out.indices, outs[0].indices)
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_one_query_per_candidate(self, monkeypatch, attack_fixture, cores):
+        monkeypatch.setattr(attacks_module, "_usable_cores", lambda: cores)
+        g, model = attack_fixture
+        targets = g.test_nodes[:5]
+        lock = threading.Lock()
+        calls = [0]
+
+        def counted_oracle(gg):
+            with lock:
+                calls[0] += 1
+            return predict_posterior(model, gg, targets)
+
+        greedy_confidence_attack(g, counted_oracle, targets, AttackBudget(1.0, 5),
+                                 candidate_pool_size=6, seed=4)
+        assert calls[0] == 5 * 6
+
+    def test_failing_victim_raises_and_leaves_no_thread(self, monkeypatch, attack_fixture):
+        monkeypatch.setattr(attacks_module, "_usable_cores", lambda: 4)
+        g, model = attack_fixture
+        targets = g.test_nodes[:5]
+        lock = threading.Lock()
+        calls = [0]
+
+        def failing_oracle(gg):
+            with lock:
+                calls[0] += 1
+                fail = calls[0] == 5
+            if fail:
+                raise RuntimeError("victim failed")
+            return predict_posterior(model, gg, targets)
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="victim failed"):
+            greedy_confidence_attack(g, failing_oracle, targets, AttackBudget(1.0, 5),
+                                     candidate_pool_size=6, seed=4)
+        assert set(threading.enumerate()) == before
 
 
 class TestRobustnessEval:

@@ -287,7 +287,9 @@ class TestConfigKeys:
     @pytest.mark.parametrize("key,value", [("hidden_dim", "0"), ("num_layers", "0"),
                                            ("epochs", "-1"), ("neighbor_cap", "-1"),
                                            ("batch_size", "-1"), ("learning_rate", "0"),
-                                           ("weight_decay", "-1")])
+                                           ("weight_decay", "-1"), ("learning_rate", "nan"),
+                                           ("learning_rate", "inf"), ("weight_decay", "nan"),
+                                           ("weight_decay", "inf")])
     def test_bad_hyperparameter_is_usage_error_before_training(self, tmp_path, no_training,
                                                                key, value):
         out = tmp_path / "bad"

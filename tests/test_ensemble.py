@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from graphforest import (DegenerateSubspaceError, EnsembleModel, GraphValidation
                          serialize_ensemble, train_base_model, train_ensemble)
 from graphforest import model as model_module
 from graphforest.ensemble import PosteriorStack
-from graphforest.model import BaseModel, GnnParams, _posteriors, init_params
+from graphforest.model import (BaseModel, GnnParams, _blas_single_thread, _posteriors,
+                               init_params)
 from graphforest.sampling import SubspaceSpec, sample_subspace
 from conftest import random_graph
 from oracles import (adjacency_dense, dense_forward, dense_softmax, per_model_posteriors,
@@ -298,6 +300,65 @@ class TestInferenceThreads:
         e = random_ensemble(rng, g, [2, 2, 2])
         with pytest.raises(RuntimeError, match="forward failed"):
             ensemble_posteriors(e, g, np.arange(g.num_nodes))
+        assert openblas() == 2
+
+    @pytest.mark.parametrize("raiser", [None, "first", "last"])
+    def test_overlapping_pins_share_one_count(self, openblas, raiser):
+        # "first" leaves the pin while "last" is still inside it
+        both_in = threading.Barrier(2, timeout=30)
+        first_out = threading.Event()
+        seen, raised = [], []
+
+        def hold(name):
+            try:
+                with _blas_single_thread():
+                    both_in.wait()
+                    seen.append(openblas())
+                    if name == "last":
+                        first_out.wait(timeout=30)
+                        seen.append(openblas())
+                    if name == raiser:
+                        raise RuntimeError(name)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+            finally:
+                if name == "first":
+                    first_out.set()
+
+        threads = [threading.Thread(target=hold, args=(name,)) for name in ("first", "last")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert first_out.is_set()
+        assert seen == [1, 1, 1]
+        assert raised == ([raiser] if raiser else [])
+        assert openblas() == 2
+
+    def test_pin_under_contention(self, openblas):
+        # more threads than cores entering and leaving the pin, switched
+        # as often as the interpreter allows
+        bad = []
+
+        def churn():
+            for _ in range(300):
+                with _blas_single_thread():
+                    if openblas() != 1:
+                        bad.append(openblas())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
         assert openblas() == 2
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
